@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .automaton import Adb, Run
 from .errors import (
@@ -27,7 +27,6 @@ from .regular import (
 )
 from .words import (
     EPS,
-    TICK,
     Out,
     TimedWord,
     UntimedWord,
@@ -75,144 +74,55 @@ def is_empty(adb: Adb) -> bool:
 # timed membership
 
 
-_SINK = "sink"
-_TICKSINK = object()  # post-accept location flushing pending outputs
-
-
-class _WordCursors:
-    """Position bookkeeping for the single-path word automaton.
-
-    A cursor is ``("seg", k)`` (about to read the time-k segment),
-    ``("after", j)`` (just read letter j, mid-segment), or the sink (all
-    letters read and past the final timestamp).  Reading the last letter
-    overall lands directly on the sink.
-    """
-
-    def __init__(self, w: TimedWord):
-        self.w = w
-        self.t_end = w[-1][1]
-        self.seg_first = {}
-        for j, (_, t) in enumerate(w):
-            self.seg_first.setdefault(t, j)
-
-    def initial(self, count: int) -> Tuple:
-        return tuple(
-            ("seg", j) if j <= self.t_end else _SINK for j in range(count)
-        )
-
-    def _wrap(self, j: int):
-        return _SINK if j == len(self.w) - 1 else ("after", j)
-
-    def next_letter(self, cursor) -> Optional[int]:
-        """Index of the next letter this cursor may read, if any."""
-        if cursor == _SINK:
-            return None
-        kind, v = cursor
-        if kind == "seg":
-            return self.seg_first.get(v)
-        j = v + 1
-        if j < len(self.w) and self.w[j][1] == self.w[v][1]:
-            return j
-        return None
-
-    def consume(self, cursor, j: int):
-        return self._wrap(j)
-
-    def at_boundary(self, cursor) -> bool:
-        """True when the cursor's segment is fully consumed (a tick may
-        legally pass it)."""
-        if cursor == _SINK:
-            return True
-        kind, v = cursor
-        if kind == "seg":
-            return v not in self.seg_first  # empty segment
-        return self.next_letter(cursor) is None
-
-    def advance(self, cursor):
-        """Start-of-next-segment cursor appended on a tick."""
-        if cursor == _SINK:
-            return _SINK
-        kind, v = cursor
-        k = v if kind == "seg" else self.w[v][1]
-        return ("seg", k + 1) if k + 1 <= self.t_end else _SINK
-
-
-def _eps_tick_acceptance(adb: Adb) -> bool:
-    """Reachability to an accepting location using eps/tick labels only
-    (exactly the runs generating the empty timed word)."""
-    seen = {adb.start}
-    queue = deque(seen)
-    while queue:
-        loc = queue.popleft()
-        if loc in adb.accepting:
-            return True
-        for label, dst in adb.edges_from(loc):
-            if label is not EPS and label is not TICK:
-                continue
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return False
-
-
 def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
-    """Timed-word membership by on-the-fly reachability over tuples of one
-    automaton location and max-delay+1 word cursors, one per pending output
-    time slot.
+    """Timed-word membership by breadth-first search over window states.
 
-    An output with delay d must read the next unconsumed letter of the slot-d
-    segment; a tick requires the current slot to be fully consumed, shifts
-    the cursors, and appends the next segment's start cursor.  After the
-    automaton reaches an accepting location, residual ticks may flush any
-    still-pending segments through a dedicated sink."""
+    A state is ``(loc, clock, counts)``: an automaton location, the ticks
+    taken so far and ``M+1`` consumption counts, one per open time slot
+    ``clock .. clock+M`` (M being the largest delay).  The clock stops at
+    one past the final timestamp, where every slot is empty, which keeps
+    the search finite across eps/tick cycles.
+
+    An output with delay d must match the next unconsumed letter of slot
+    ``clock+d``; a tick needs slot ``clock`` to be full, then shifts the
+    window by one slot.  A state accepts when its location is accepting,
+    the window reaches the final timestamp and every slot in it is full:
+    the outputs still pending then surface exactly as the word's remaining
+    letters.  The empty word needs no special case."""
     if cap is None:
         cap = state_cap()
     w = validate_timed_word(w)
     for sym, _ in w:
         if sym not in adb.alphabet:
             raise UnknownSymbol(sym)
-    if not w:
-        return _eps_tick_acceptance(adb)
-
-    cursors = _WordCursors(w)
     m = adb.max_delay
-    start = (adb.start, cursors.initial(m + 1))
+    t_end = w[-1][1] if w else -1
+    segments = [[] for _ in range(t_end + m + 2)]
+    for sym, t in w:
+        segments[t].append(sym)
+    full = [len(seg) for seg in segments]
+
+    start = (adb.start, 0, (0,) * (m + 1))
     seen = {start}
     queue = deque([start])
-
-    def accepting(loc, cur):
-        if loc is not _TICKSINK and loc not in adb.accepting:
-            return False
-        return all(c == _SINK for c in cur)
-
     while queue:
-        loc, cur = queue.popleft()
-        if accepting(loc, cur):
+        loc, clock, counts = queue.popleft()
+        if (loc in adb.accepting and clock + m >= t_end
+                and all(c == full[clock + i] for i, c in enumerate(counts))):
             return True
-        nexts = []
-        if loc is _TICKSINK:
-            if cursors.at_boundary(cur[0]):
-                shifted = cur[1:] + (cursors.advance(cur[-1]),)
-                nexts.append((_TICKSINK, shifted))
-        else:
-            for label, dst in adb.edges_from(loc):
-                if isinstance(label, Out):
-                    j = cursors.next_letter(cur[label.delay])
-                    if j is None or w[j][0] != label.symbol:
-                        continue
-                    advanced = cursors.consume(cur[label.delay], j)
-                    nexts.append(
-                        (dst, cur[: label.delay] + (advanced,)
-                         + cur[label.delay + 1:])
-                    )
-                elif label is EPS:
-                    nexts.append((dst, cur))
-                else:
-                    if cursors.at_boundary(cur[0]):
-                        nexts.append((dst, cur[1:] + (cursors.advance(cur[-1]),)))
-            if loc in adb.accepting and cursors.at_boundary(cur[0]):
-                nexts.append((_TICKSINK, cur[1:] + (cursors.advance(cur[-1]),)))
-        for state in nexts:
+        for label, dst in adb.edges_from(loc):
+            if isinstance(label, Out):
+                d = label.delay
+                seg, c = segments[clock + d], counts[d]
+                if c == len(seg) or seg[c] != label.symbol:
+                    continue
+                state = (dst, clock, counts[:d] + (c + 1,) + counts[d + 1:])
+            elif label is EPS:
+                state = (dst, clock, counts)
+            elif counts[0] == full[clock]:
+                state = (dst, min(clock + 1, t_end + 1), counts[1:] + (0,))
+            else:
+                continue
             if state not in seen:
                 seen.add(state)
                 if len(seen) > cap:

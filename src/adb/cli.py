@@ -11,8 +11,7 @@ import sys
 
 from . import analysis, constructions, oracle
 from .automaton import Adb, run_output
-from .errors import AdbError, BoundExceeded, ParseError
-from .regular import Nfa
+from .errors import AdbError, BoundExceeded
 from .textio import parse_adb, parse_automaton, parse_nfa, print_adb
 from .words import (
     format_timed_word,
@@ -29,10 +28,8 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(AdbError):
+    """A bad command line or an unreadable input file (exit 2)."""
 
 
 def _read(path: str) -> str:
@@ -43,25 +40,27 @@ def _read(path: str) -> str:
         raise CliError("cannot read %s: %s" % (path, exc))
 
 
-def _load_adb(path: str) -> Adb:
+def _load(path: str, parse):
+    """Parse a file, naming it in any error."""
+    text = _read(path)
     try:
-        return parse_adb(_read(path))
+        return parse(text)
     except AdbError as exc:
         raise CliError("%s: %s" % (path, exc))
 
 
-def _load_nfa(path: str) -> Nfa:
+def _nonnegative_int(text: str) -> int:
     try:
-        return parse_nfa(_read(path))
-    except AdbError as exc:
-        raise CliError("%s: %s" % (path, exc))
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative: %r" % text)
+    return value
 
 
 def cmd_validate(args) -> int:
-    try:
-        auto = parse_automaton(_read(args.path))
-    except AdbError as exc:
-        raise CliError("%s: %s" % (args.path, exc))
+    auto = _load(args.path, parse_automaton)
     if isinstance(auto, Adb):
         print(
             "%d locations, %d transitions, max delay %d"
@@ -75,7 +74,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_empty(args) -> int:
-    auto = _load_adb(args.path)
+    auto = _load(args.path, parse_adb)
     run = analysis.shortest_accepting_run(auto)
     if run is None:
         print("EMPTY")
@@ -87,29 +86,18 @@ def cmd_empty(args) -> int:
 
 
 def cmd_member(args) -> int:
-    auto = _load_adb(args.path)
-    try:
-        if args.timed is not None:
-            verdict = analysis.member_timed(auto, parse_timed_word(args.timed))
-        else:
-            verdict = analysis.member_untimed(auto, parse_untimed_word(args.untimed))
-    except BoundExceeded as exc:
-        raise CliError(str(exc), EXIT_BOUND)
-    except AdbError as exc:
-        raise CliError(str(exc))
+    auto = _load(args.path, parse_adb)
+    if args.timed is not None:
+        verdict = analysis.member_timed(auto, parse_timed_word(args.timed))
+    else:
+        verdict = analysis.member_untimed(auto, parse_untimed_word(args.untimed))
     print("MEMBER" if verdict else "NOT MEMBER")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_modelcheck(args) -> int:
-    auto = _load_adb(args.path)
-    spec = _load_nfa(args.spec)
-    try:
-        verdict = analysis.model_check(auto, spec)
-    except BoundExceeded as exc:
-        raise CliError(str(exc), EXIT_BOUND)
-    except AdbError as exc:
-        raise CliError(str(exc))
+    auto = _load(args.path, parse_adb)
+    verdict = analysis.model_check(auto, _load(args.spec, parse_nfa))
     if verdict.holds:
         print("HOLDS")
         return EXIT_OK
@@ -125,24 +113,19 @@ def cmd_construct(args) -> int:
             "construct %s needs %d input file(s), got %d"
             % (args.op, wanted, len(args.inputs))
         )
-    try:
-        if args.op == "lift":
-            result = constructions.lift_regular(_load_nfa(args.inputs[0]))
-        elif args.op == "star":
-            result = constructions.star(_load_adb(args.inputs[0]))
-        elif args.op == "intersect":
-            if args.spec is None:
-                raise CliError("construct intersect needs --spec")
-            result = constructions.intersect_regular(
-                _load_adb(args.inputs[0]), _load_nfa(args.spec)
-            )
-        else:
-            build = constructions.union if args.op == "union" else constructions.concat
-            result = build(_load_adb(args.inputs[0]), _load_adb(args.inputs[1]))
-    except BoundExceeded as exc:
-        raise CliError(str(exc), EXIT_BOUND)
-    except AdbError as exc:
-        raise CliError(str(exc))
+    if args.op == "lift":
+        result = constructions.lift_regular(_load(args.inputs[0], parse_nfa))
+    elif args.op == "star":
+        result = constructions.star(_load(args.inputs[0], parse_adb))
+    elif args.op == "intersect":
+        if args.spec is None:
+            raise CliError("construct intersect needs --spec")
+        result = constructions.intersect_regular(
+            _load(args.inputs[0], parse_adb), _load(args.spec, parse_nfa)
+        )
+    else:
+        build = constructions.union if args.op == "union" else constructions.concat
+        result = build(*(_load(path, parse_adb) for path in args.inputs))
     text = print_adb(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -157,44 +140,32 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    auto = _load_adb(args.path)
-    try:
-        if args.untimed:
-            words = oracle.untimed_sample(auto, args.max_transitions)
-            lines = sorted(
-                (format_untimed_word(w) for w in words),
-                key=lambda s: (len(s.split()), s.split()),
-            )
-        else:
-            words = oracle.language_sample(auto, args.max_transitions)
-            lines = sorted(
-                (format_timed_word(w) for w in words),
-                key=lambda s: (len(s.split()), s.split()),
-            )
-    except BoundExceeded as exc:
-        raise CliError(str(exc), EXIT_BOUND)
+    auto = _load(args.path, parse_adb)
+    if args.untimed:
+        words = oracle.untimed_sample(auto, args.max_transitions)
+        lines = sorted(
+            (format_untimed_word(w) for w in words),
+            key=lambda s: (len(s.split()), s.split()),
+        )
+    else:
+        words = oracle.language_sample(auto, args.max_transitions)
+        lines = sorted(
+            (format_timed_word(w) for w in words),
+            key=lambda s: (len(s.split()), s.split()),
+        )
     for line in lines:
         print(line)
     return EXIT_OK
 
 
 def cmd_oword(args) -> int:
-    try:
-        labels = parse_labels(args.labels)
-    except AdbError as exc:
-        raise CliError(str(exc))
-    print(format_timed_word(oword(labels)))
+    print(format_timed_word(oword(parse_labels(args.labels))))
     return EXIT_OK
 
 
 def cmd_oracle_member(args) -> int:
-    auto = _load_adb(args.path)
-    try:
-        verdict = oracle.brute_member_timed(auto, parse_timed_word(args.timed))
-    except BoundExceeded as exc:
-        raise CliError(str(exc), EXIT_BOUND)
-    except AdbError as exc:
-        raise CliError(str(exc))
+    auto = _load(args.path, parse_adb)
+    verdict = oracle.brute_member_timed(auto, parse_timed_word(args.timed))
     print("MEMBER" if verdict else "NOT MEMBER")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -234,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list bounded-run language samples")
     p.add_argument("path")
-    p.add_argument("--max-transitions", type=int, required=True)
+    p.add_argument("--max-transitions", type=_nonnegative_int, required=True)
     p.add_argument("--untimed", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -260,10 +231,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    except ParseError as exc:
+        return EXIT_BOUND
+    except AdbError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -82,6 +82,10 @@ def eps_closure(nfa: Nfa, states: Iterable) -> frozenset:
 
 def eliminate_eps(nfa: Nfa) -> Nfa:
     """Epsilon-free NFA over the same state set accepting the same language."""
+    letter_edges = {}
+    for src, letter, dst in nfa.transitions:
+        if letter is not None:
+            letter_edges.setdefault(src, []).append((letter, dst))
     transitions = set()
     accepting = set()
     for s in nfa.states:
@@ -89,10 +93,8 @@ def eliminate_eps(nfa: Nfa) -> Nfa:
         if closure & nfa.accepting:
             accepting.add(s)
         for q in closure:
-            for (src, letter), targets in nfa._letter_index.items():
-                if src == q:
-                    for dst in targets:
-                        transitions.add((s, letter, dst))
+            for letter, dst in letter_edges.get(q, ()):
+                transitions.add((s, letter, dst))
     return Nfa(nfa.states, nfa.alphabet, nfa.start, frozenset(accepting),
                frozenset(transitions))
 

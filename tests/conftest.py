@@ -1,10 +1,38 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from adb import parse_adb, parse_nfa
+from adb import EPS, TICK, Out, parse_adb, parse_nfa, validate_adb, validate_nfa
 
 EXAMPLES = Path(__file__).parents[1] / "examples"
+SYMBOLS = ("a", "b")
+
+
+@st.composite
+def adbs(draw):
+    """Small random automata over ``SYMBOLS`` with ticks, eps and delays."""
+    locations = ["l%d" % i for i in range(draw(st.integers(1, 4)))]
+    loc = st.sampled_from(locations)
+    label = st.one_of(
+        st.builds(Out, st.sampled_from(SYMBOLS), st.integers(0, 3)),
+        st.just(EPS),
+        st.just(TICK),
+    )
+    transitions = draw(st.lists(st.tuples(loc, label, loc), max_size=6))
+    accepting = draw(st.sets(loc))
+    return validate_adb(locations, SYMBOLS, "l0", accepting, transitions)
+
+
+@st.composite
+def nfas(draw):
+    """Small random NFAs over ``SYMBOLS`` with eps transitions."""
+    states = ["q%d" % i for i in range(draw(st.integers(1, 4)))]
+    state = st.sampled_from(states)
+    letter = st.sampled_from(SYMBOLS + (None,))
+    transitions = draw(st.lists(st.tuples(state, letter, state), max_size=8))
+    accepting = draw(st.sets(state))
+    return validate_nfa(states, SYMBOLS, "q0", accepting, transitions)
 
 
 def load_adb(name):

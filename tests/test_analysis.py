@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adb import (
     BoundExceeded,
@@ -6,22 +8,25 @@ from adb import (
     InternalVerificationFailure,
     Out,
     UnknownSymbol,
+    brute_member_timed,
     intersect_regular_empty,
     is_accepting_run,
     is_empty,
+    language_sample,
     lift_regular,
     member_timed,
     member_untimed,
     model_check,
     nfa_member,
     parse_timed_word,
+    random_mutations,
     run_output,
     shortest_accepting_run,
     untime,
     validate_adb,
     validate_nfa,
 )
-from conftest import load_adb
+from conftest import adbs, load_adb
 
 
 def test_emptiness(a1, a2):
@@ -82,6 +87,25 @@ def test_member_timed_flush_after_acceptance(a1):
     # the run ends at time 0 but delayed letters surface later
     assert member_timed(a1, parse_timed_word("a@0 b@1 c@2"))
     assert not member_timed(a1, parse_timed_word("a@0 b@1 c@3"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(adbs(), st.integers(0, 5), st.integers(0, 2**16))
+def test_member_timed_agrees_with_brute_force(auto, max_transitions, seed):
+    members = sorted(
+        language_sample(auto, max_transitions), key=lambda w: (len(w), w)
+    )
+    words = {()} | set(members[-6:])
+    for w in members[-6:]:
+        words.update(random_mutations(w, auto.alphabet, 4, seed))
+    for w in sorted(words):
+        assert member_timed(auto, w) == brute_member_timed(auto, w), w
+
+
+def test_member_timed_bound(a2):
+    w = parse_timed_word("a@0 a@0 b@1 b@1 c@2 c@2 a@2 b@3 c@4 a@6 b@7 c@8")
+    with pytest.raises(BoundExceeded):
+        member_timed(a2, w, cap=5)
 
 
 def test_member_untimed(a1, a3):

@@ -176,6 +176,15 @@ def test_enumerate_zero_bound(capsys):
     assert out == "\n"
 
 
+def test_enumerate_negative_bound(capsys):
+    code, out, err = run(
+        capsys, "enumerate", EXAMPLES / "a1.adb", "--max-transitions", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--max-transitions" in err
+
+
 def test_enumerate_untimed(capsys):
     code, out, _ = run(
         capsys, "enumerate", EXAMPLES / "a3.adb", "--max-transitions", "4",

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adb import (
     EPS,
@@ -13,7 +15,7 @@ from adb import (
     print_adb,
     print_nfa,
 )
-from conftest import EXAMPLES
+from conftest import EXAMPLES, adbs, nfas
 
 
 def test_parse_adb_basics(a1):
@@ -100,3 +102,37 @@ def test_parse_automaton_dispatch():
     assert isinstance(parse_automaton(nfa_file), Nfa)
     with pytest.raises(ParseError):
         parse_automaton("alphabet a\nstart x\n")
+
+
+@given(adbs())
+def test_adb_round_trip_random(auto):
+    text = print_adb(auto)
+    assert parse_adb(text) == auto
+    assert parse_automaton(text) == auto
+
+
+@given(nfas())
+def test_nfa_round_trip_random(nfa):
+    text = print_nfa(nfa)
+    assert parse_nfa(text) == nfa
+    assert parse_automaton(text) == nfa
+
+
+KEYWORDS = ["alphabet", "locations", "states", "start", "accept", "trans",
+            "out", "on", "eps", "tick", "a", "b", "#", "l0", "l1", "0", "1", "-1",
+            "x"]
+PREFIXES = ["", "alphabet a b\nlocations l0 l1\nstart l0\naccept l1\n",
+            "alphabet a b\nstates l0 l1\nstart l0\naccept l1\n"]
+
+
+@given(
+    st.sampled_from(PREFIXES),
+    st.lists(st.lists(st.sampled_from(KEYWORDS), max_size=7), max_size=8),
+)
+def test_random_text_raises_only_parse_error(prefix, lines):
+    text = prefix + "\n".join(" ".join(line) for line in lines)
+    for parse in (parse_automaton, parse_adb, parse_nfa):
+        try:
+            parse(text)
+        except ParseError:
+            pass
