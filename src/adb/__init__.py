@@ -48,12 +48,7 @@ from .oracle import (
     untimed_sample,
 )
 from .regular import (
-    Dfa,
     Nfa,
-    complement,
-    determinize,
-    dfa_as_nfa,
-    dfa_member,
     eliminate_eps,
     eps_closure,
     nfa_member,

@@ -8,23 +8,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import Adb, Run
+from .automaton import Adb, Run, is_accepting_run, run_output
 from .errors import (
     BoundExceeded,
-    IncompatibleAlphabet,
     InternalVerificationFailure,
+    InvalidStep,
+    UnknownLocation,
     UnknownSymbol,
 )
-from .product import ProductExplorer, search_accepting, state_cap
-from .regular import (
-    Nfa,
-    complement,
-    determinize,
-    dfa_as_nfa,
-    eliminate_eps,
-    nfa_member,
-    single_word_nfa,
-)
+from .product import RelationProduct, search_accepting, state_cap
+from .regular import Nfa, nfa_member, single_word_nfa
 from .words import (
     EPS,
     Out,
@@ -144,14 +137,10 @@ class IntersectionWitness:
     states_explored: int
 
 
-def intersect_regular_empty(
-    adb: Adb, spec: Nfa, cap=None
-) -> Optional[IntersectionWitness]:
-    """``None`` when the automaton's untimed language is disjoint from the
-    spec NFA's language; otherwise a witness word from a shortest accepting
-    product path."""
-    explorer = ProductExplorer(adb, spec)
-    path, count = search_accepting(explorer, cap)
+def _search(adb: Adb, spec: Nfa, hit: bool, cap) -> Optional[IntersectionWitness]:
+    """A shortest relation-product path to an output whose spec image does
+    (``hit``) or does not meet the spec's accepting states."""
+    path, count = search_accepting(RelationProduct(adb, spec, hit), cap)
     if path is None:
         return None
     labels = tuple(label for label, _ in path)
@@ -159,12 +148,18 @@ def intersect_regular_empty(
     return IntersectionWitness(untime(oword(labels)), run, count)
 
 
-def member_untimed(adb: Adb, u: UntimedWord) -> bool:
+def intersect_regular_empty(
+    adb: Adb, spec: Nfa, cap=None
+) -> Optional[IntersectionWitness]:
+    """``None`` when the automaton's untimed language is disjoint from the
+    spec NFA's language; otherwise a witness word from a shortest accepting
+    product path."""
+    return _search(adb, spec, True, cap)
+
+
+def member_untimed(adb: Adb, u: UntimedWord, cap=None) -> bool:
     """Untimed membership via intersection with a single-word NFA."""
-    for sym in u:
-        if sym not in adb.alphabet:
-            raise UnknownSymbol(sym)
-    return intersect_regular_empty(adb, single_word_nfa(u, adb.alphabet)) is not None
+    return _search(adb, single_word_nfa(u, adb.alphabet), True, cap) is not None
 
 
 @dataclass(frozen=True)
@@ -176,20 +171,19 @@ class Verdict:
 
 def model_check(adb: Adb, spec: Nfa, cap=None) -> Verdict:
     """Decide containment of the automaton's untimed language in the spec
-    NFA's language: determinize and complement the spec, then check
-    emptiness of the intersection.  Counterexamples are re-verified against
-    both sides before being returned."""
-    if adb.alphabet - spec.alphabet:
-        raise IncompatibleAlphabet(
-            "spec alphabet is missing %s" % sorted(adb.alphabet - spec.alphabet)
-        )
-    negated = dfa_as_nfa(complement(determinize(eliminate_eps(spec))))
-    witness = intersect_regular_empty(adb, negated, cap)
+    NFA's language by searching for an accepting run whose output the spec
+    rejects.  A counterexample is re-verified before it is returned: its run
+    is replayed on the automaton, and the spec must reject its word."""
+    witness = _search(adb, spec, False, cap)
     if witness is None:
         return Verdict(holds=True)
-    u = witness.word
-    if not member_untimed(adb, u) or nfa_member(spec, u):
+    u, run = witness.word, witness.run
+    try:
+        replayed = is_accepting_run(adb, run) and untime(run_output(adb, run)) == u
+    except (InvalidStep, UnknownLocation):
+        replayed = False
+    if not replayed or nfa_member(spec, u):
         raise InternalVerificationFailure(
             "counterexample %r failed verification" % (u,)
         )
-    return Verdict(holds=False, counterexample=u, witness_run=witness.run)
+    return Verdict(holds=False, counterexample=u, witness_run=run)

@@ -128,8 +128,11 @@ def cmd_construct(args) -> int:
         result = build(*(_load(path, parse_adb) for path in args.inputs))
     text = print_adb(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
     print(

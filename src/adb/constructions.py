@@ -1,6 +1,12 @@
 """Language constructions: the regular lift, union, concatenation, Kleene
 star, and the explicit intersection product with a regular specification.
 
+The intersection product is the paper's guess-tuple construction: a state
+holds the automaton location, the spec position of the current slot and of
+each of the next M slots, and M guessed slot-start positions.  A tick needs
+the current slot at its guess, shifts every component one slot down and
+appends a fresh agreeing (position, guess) pair.
+
 Union, concatenation and star work on disjoint renamed copies of their
 inputs (locations of copy k are prefixed ``k$``); chain locations minted by
 concatenation and star are named ``<accepting>$tick$<k>``.  Every
@@ -9,11 +15,15 @@ construction output passes structural validation.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Tuple
+
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
-from .product import ProductExplorer, state_cap
-from .regular import Nfa
-from .words import EPS, TICK, Out
+from .product import check_alphabet, state_cap
+from .regular import Nfa, eliminate_eps
+from .words import EPS, TICK, Label, Out
 
 
 def _renamed(adb: Adb, prefix: str):
@@ -109,6 +119,65 @@ def star(adb: Adb) -> Adb:
             locations.update(chain)
             transitions += _tick_chain(final, chain, start, TICK)
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
+
+
+@dataclass(frozen=True)
+class ProductState:
+    loc: str
+    slots: Tuple  # M+1 spec positions, current slot first
+    guesses: Tuple  # M guessed slot-start positions
+
+
+class ProductExplorer:
+    """Lazy successor generation over the product's reachable states.
+
+    Guess tuples are enumerated on demand (at the initial fan and at each
+    tick), never materialized up front.
+    """
+
+    def __init__(self, adb: Adb, spec: Nfa):
+        check_alphabet(adb, spec)
+        self.adb = adb
+        self.spec = eliminate_eps(spec)
+        self.delay_bound = adb.max_delay
+        self.spec_states = tuple(sorted(self.spec.states, key=repr))
+
+    def initial_states(self) -> Iterator[ProductState]:
+        """The epsilon fan out of the fresh initial state: one product state
+        per guess tuple, with each future slot starting at its guess."""
+        m = self.delay_bound
+        for guesses in itertools.product(self.spec_states, repeat=m):
+            yield ProductState(self.adb.start, (self.spec.start,) + guesses, guesses)
+
+    def successors(self, ps: ProductState) -> Iterator[Tuple[Label, ProductState]]:
+        m = self.delay_bound
+        for label, dst in self.adb.edges_from(ps.loc):
+            if isinstance(label, Out):
+                slot = ps.slots[label.delay]
+                for nxt in sorted(self.spec.step(slot, label.symbol), key=repr):
+                    slots = (
+                        ps.slots[: label.delay] + (nxt,) + ps.slots[label.delay + 1 :]
+                    )
+                    yield label, ProductState(dst, slots, ps.guesses)
+            elif label is EPS:
+                yield label, ProductState(dst, ps.slots, ps.guesses)
+            else:  # tick
+                if m == 0:
+                    yield label, ProductState(dst, ps.slots, ps.guesses)
+                elif ps.slots[0] == ps.guesses[0]:
+                    for fresh in self.spec_states:
+                        yield label, ProductState(
+                            dst,
+                            ps.slots[1:] + (fresh,),
+                            ps.guesses[1:] + (fresh,),
+                        )
+
+    def is_accepting(self, ps: ProductState) -> bool:
+        if ps.loc not in self.adb.accepting:
+            return False
+        if ps.slots[-1] not in self.spec.accepting:
+            return False
+        return all(ps.slots[j] == ps.guesses[j] for j in range(self.delay_bound))
 
 
 def _encode(ps, spec_names) -> str:

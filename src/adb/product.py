@@ -1,21 +1,21 @@
-"""Guess-tuple product of a delay automaton with an epsilon-free NFA.
+"""Relation product of a delay automaton with a regular spec, and the
+breadth-first search that decides every regular-spec question.
 
-A product state tracks the automaton location, the spec NFA's position for
-the current time slot and for each of the next M future slots (M being the
-automaton's largest delay), and M guessed slot-start positions.  An output
-with delay t advances the slot-t spec position; a tick is enabled only when
-the current slot has reached its guessed boundary, shifts every component
-one slot down, and appends a fresh agreeing (position, guess) pair.  The
-untimed language of the product is the intersection of the automaton's
-untimed language with the NFA's language.
+A state is ``(loc, current, pending)``: the set of eps-free spec states
+reached on the letters of the closed time slots and of the current slot so
+far, and one spec relation ``{(p, q)}`` per future slot ``clock+1 ..
+clock+M`` (M being the largest delay) for the letters queued there.  A
+delay-0 output steps ``current``; delay d > 0 composes slot d's relation
+with the letter.  A tick maps ``current`` through the first relation,
+shifts the rest down and opens the newest slot with the identity.  At an
+accepting location the pending slots flush, so the spec states the run's
+untimed output reaches are ``current`` composed with every relation.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import FrozenSet, Iterator, NamedTuple, Tuple
 
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
@@ -29,119 +29,102 @@ def state_cap() -> int:
     return int(os.environ.get("ADB_MAX_STATES", DEFAULT_STATE_CAP))
 
 
-@dataclass(frozen=True)
-class ProductState:
+def check_alphabet(adb: Adb, spec: Nfa) -> None:
+    """Raise ``IncompatibleAlphabet`` unless the spec reads every symbol the
+    automaton can output."""
+    if adb.alphabet - spec.alphabet:
+        raise IncompatibleAlphabet(
+            "spec alphabet is missing %s" % sorted(adb.alphabet - spec.alphabet)
+        )
+
+
+class RelationState(NamedTuple):
     loc: str
-    slots: Tuple  # M+1 spec positions, current slot first
-    guesses: Tuple  # M guessed slot-start positions
+    current: FrozenSet  # spec states after the closed slots and this one
+    pending: Tuple[FrozenSet, ...]  # M spec relations, slot clock+1 first
 
 
-class ProductExplorer:
-    """Lazy successor generation over the product's reachable states.
+def _image(states: FrozenSet, relation: FrozenSet) -> FrozenSet:
+    return frozenset(q for p, q in relation if p in states)
 
-    Guess tuples are enumerated on demand (at the initial fan and at each
-    tick), never materialized up front.
-    """
 
-    def __init__(self, adb: Adb, spec: Nfa):
-        if adb.alphabet - spec.alphabet:
-            raise IncompatibleAlphabet(
-                "spec alphabet is missing %s"
-                % sorted(adb.alphabet - spec.alphabet)
-            )
+class RelationProduct:
+    """Lazy successors.  With ``hit`` a state accepts when the output can
+    end in an accepting spec state (intersection, membership); without, when
+    it cannot (a counterexample to containment)."""
+
+    def __init__(self, adb: Adb, spec: Nfa, hit: bool = True):
+        check_alphabet(adb, spec)
         self.adb = adb
         self.spec = eliminate_eps(spec)
-        self.delay_bound = adb.max_delay
-        self.spec_states = tuple(sorted(self.spec.states, key=repr))
+        self.hit = hit
+        self.identity = frozenset((q, q) for q in self.spec.states)
 
-    def initial_states(self) -> Iterator[ProductState]:
-        """The epsilon fan out of the fresh initial state: one product state
-        per guess tuple, with each future slot starting at its guess."""
-        m = self.delay_bound
-        for guesses in itertools.product(self.spec_states, repeat=m):
-            yield ProductState(self.adb.start, (self.spec.start,) + guesses, guesses)
+    def initial_state(self) -> RelationState:
+        return RelationState(self.adb.start, frozenset({self.spec.start}),
+                             (self.identity,) * self.adb.max_delay)
 
-    def successors(self, ps: ProductState) -> Iterator[Tuple[Label, ProductState]]:
-        m = self.delay_bound
+    def successors(self, ps: RelationState) -> Iterator[Tuple[Label, RelationState]]:
+        step = self.spec.step
         for label, dst in self.adb.edges_from(ps.loc):
-            if isinstance(label, Out):
-                slot = ps.slots[label.delay]
-                for nxt in sorted(self.spec.step(slot, label.symbol), key=repr):
-                    slots = (
-                        ps.slots[: label.delay] + (nxt,) + ps.slots[label.delay + 1 :]
-                    )
-                    yield label, ProductState(dst, slots, ps.guesses)
-            elif label is EPS:
-                yield label, ProductState(dst, ps.slots, ps.guesses)
-            else:  # tick
-                if m == 0:
-                    yield label, ProductState(dst, ps.slots, ps.guesses)
-                elif ps.slots[0] == ps.guesses[0]:
-                    for fresh in self.spec_states:
-                        yield label, ProductState(
-                            dst,
-                            ps.slots[1:] + (fresh,),
-                            ps.guesses[1:] + (fresh,),
-                        )
+            current, pending = ps.current, ps.pending
+            if isinstance(label, Out) and label.delay == 0:
+                current = frozenset(r for q in current for r in step(q, label.symbol))
+            elif isinstance(label, Out):
+                d = label.delay - 1
+                relation = frozenset(
+                    (p, r) for p, q in pending[d] for r in step(q, label.symbol)
+                )
+                pending = pending[:d] + (relation,) + pending[d + 1:]
+            elif label is not EPS and pending:  # a tick
+                current = _image(current, pending[0])
+                pending = pending[1:] + (self.identity,)
+            if self.hit and not (current and all(pending)):
+                continue  # the image is empty from here on
+            yield label, RelationState(dst, current, pending)
 
-    def is_accepting(self, ps: ProductState) -> bool:
+    def is_accepting(self, ps: RelationState) -> bool:
         if ps.loc not in self.adb.accepting:
             return False
-        if ps.slots[-1] not in self.spec.accepting:
-            return False
-        return all(ps.slots[j] == ps.guesses[j] for j in range(self.delay_bound))
+        image = ps.current
+        for relation in ps.pending:
+            image = _image(image, relation)
+        return bool(image & self.spec.accepting) == self.hit
 
 
-def search_accepting(explorer: ProductExplorer, cap=None):
+def search_accepting(product: RelationProduct, cap=None):
     """BFS for an accepting product state.
 
-    Returns ``(path, visited_count)`` where ``path`` is a shortest accepting
-    path as a tuple of ``(label, state)`` steps out of some initial-fan state
-    (``None`` when the product is empty).  The implicit epsilon edge from the
-    fresh initial state is not part of the path; that state still counts
-    toward ``visited_count``.
+    Returns ``(path, visited_count)``: a shortest accepting path as a tuple
+    of ``(label, state)`` steps out of the initial state (``None`` when there
+    is none), and the number of states reached plus one fresh start state,
+    as the explicit construction counts its ``$init`` location.
     """
     if cap is None:
         cap = state_cap()
-    parent = {}
-    frontier = []
-    count = 1  # the fresh initial state
-    for ps in explorer.initial_states():
-        if ps not in parent:
-            parent[ps] = None
-            frontier.append(ps)
-            count += 1
-            if count > cap:
-                raise BoundExceeded(cap)
+    parent, frontier = {}, []
 
-    goal = None
+    def reached(ps, step) -> bool:
+        parent[ps] = step
+        frontier.append(ps)
+        if len(parent) >= cap:  # with the fresh start state, past the cap
+            raise BoundExceeded(cap)
+        return product.is_accepting(ps)
+
+    start = product.initial_state()
+    goal = start if reached(start, None) else None
     for ps in frontier:
-        if explorer.is_accepting(ps):
-            goal = ps
+        if goal is not None:
             break
-    index = 0
-    while goal is None and index < len(frontier):
-        ps = frontier[index]
-        index += 1
-        for label, nxt in explorer.successors(ps):
-            if nxt in parent:
-                continue
-            parent[nxt] = (ps, label)
-            frontier.append(nxt)
-            count += 1
-            if count > cap:
-                raise BoundExceeded(cap)
-            if explorer.is_accepting(nxt):
+        for label, nxt in product.successors(ps):
+            if nxt not in parent and reached(nxt, (ps, label)):
                 goal = nxt
                 break
-
     if goal is None:
-        return None, count
+        return None, len(parent) + 1
     path = []
-    ps = goal
-    while parent[ps] is not None:
-        prev, label = parent[ps]
-        path.append((label, ps))
-        ps = prev
-    path.reverse()
-    return tuple(path), count
+    while parent[goal] is not None:
+        prev, label = parent[goal]
+        path.append((label, goal))
+        goal = prev
+    return tuple(reversed(path)), len(parent) + 1

@@ -1,5 +1,5 @@
-"""Classical NFA/DFA machinery: epsilon closure and elimination, subset
-construction, complementation, and membership.
+"""Classical NFA machinery: validation, epsilon closure and elimination,
+membership by subset simulation, and single-word NFAs.
 
 Letters are arbitrary hashable values (the stamped-alphabet view of a delay
 automaton uses ``(symbol, delay)`` tuples and the string ``"tick"``); an
@@ -112,67 +112,6 @@ def nfa_member(nfa: Nfa, word: Sequence) -> bool:
         if not current:
             return False
     return bool(current & nfa.accepting)
-
-
-@dataclass(frozen=True)
-class Dfa:
-    """Total DFA; states are frozensets of NFA states (the empty set is the
-    sink added during determinization)."""
-
-    states: FrozenSet
-    alphabet: FrozenSet
-    start: Hashable
-    accepting: FrozenSet
-    transitions: FrozenSet[NfaTransition]
-
-    @cached_property
-    def delta(self):
-        return {(src, letter): dst for src, letter, dst in self.transitions}
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction over reachable subsets only; a sink subset makes
-    the transition function total."""
-    alphabet = sorted(nfa.alphabet, key=repr)
-    start = eps_closure(nfa, {nfa.start})
-    states = {start}
-    transitions = set()
-    frontier = [start]
-    while frontier:
-        subset = frontier.pop()
-        for letter in alphabet:
-            nxt = set()
-            for s in subset:
-                nxt |= nfa.step(s, letter)
-            target = eps_closure(nfa, nxt)
-            transitions.add((subset, letter, target))
-            if target not in states:
-                states.add(target)
-                frontier.append(target)
-    accepting = frozenset(s for s in states if s & nfa.accepting)
-    return Dfa(frozenset(states), nfa.alphabet, start, accepting,
-               frozenset(transitions))
-
-
-def complement(dfa: Dfa) -> Dfa:
-    """Flip the accepting set of a total DFA."""
-    return Dfa(dfa.states, dfa.alphabet, dfa.start,
-               dfa.states - dfa.accepting, dfa.transitions)
-
-
-def dfa_member(dfa: Dfa, word: Sequence) -> bool:
-    state = dfa.start
-    for letter in word:
-        if letter not in dfa.alphabet:
-            raise UnknownSymbol(letter)
-        state = dfa.delta[(state, letter)]
-    return state in dfa.accepting
-
-
-def dfa_as_nfa(dfa: Dfa) -> Nfa:
-    """View a DFA as an (epsilon-free) NFA."""
-    return Nfa(dfa.states, dfa.alphabet, dfa.start, dfa.accepting,
-               dfa.transitions)
 
 
 def single_word_nfa(word: Sequence, alphabet: Iterable) -> Nfa:

@@ -9,6 +9,7 @@ from adb import (
     Out,
     UnknownSymbol,
     brute_member_timed,
+    intersect_regular,
     intersect_regular_empty,
     is_accepting_run,
     is_empty,
@@ -22,11 +23,21 @@ from adb import (
     random_mutations,
     run_output,
     shortest_accepting_run,
+    single_word_nfa,
     untime,
+    untimed_sample,
     validate_adb,
     validate_nfa,
 )
-from conftest import adbs, load_adb
+from conftest import SYMBOLS, adbs, load_adb, nfas
+
+# random NFAs, and single-word specs, which tell apart the orders of letters
+specs = st.one_of(
+    nfas(),
+    st.lists(st.sampled_from(SYMBOLS), max_size=4).map(
+        lambda u: single_word_nfa(u, SYMBOLS)
+    ),
+)
 
 
 def test_emptiness(a1, a2):
@@ -168,3 +179,49 @@ def test_model_check_alphabet_mismatch(a3, abc_blocks):
 
 def test_model_check_survey_protocol(a0, sigma_star):
     assert model_check(a0, sigma_star).holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(adbs(), specs)
+def test_intersect_regular_empty_agrees_with_construction(auto, spec):
+    # the paper's guess-tuple construction is the independent oracle
+    witness = intersect_regular_empty(auto, spec)
+    assert (witness is None) == is_empty(intersect_regular(auto, spec))
+    if witness is not None:
+        assert is_accepting_run(auto, witness.run)
+        assert untime(run_output(auto, witness.run)) == witness.word
+        assert nfa_member(spec, witness.word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adbs(), specs)
+def test_model_check_agrees_with_sample(auto, spec):
+    verdict = model_check(auto, spec)
+    outside = [u for u in untimed_sample(auto, 6) if not nfa_member(spec, u)]
+    if verdict.holds:
+        assert outside == []
+    else:
+        u, run = verdict.counterexample, verdict.witness_run
+        assert is_accepting_run(auto, run)
+        assert untime(run_output(auto, run)) == u
+        assert not nfa_member(spec, u)
+
+
+def test_member_untimed_large_delay():
+    # the guess-tuple search exceeded this cap from d=4 on
+    loop = validate_adb(["l0"], ["a"], "l0", ["l0"], [("l0", Out("a", 40), "l0")])
+    assert member_untimed(loop, ("a", "a"), cap=100)
+
+
+def test_model_check_large_delays(abc_blocks, bac_blocks):
+    # a1 with delays (0, 10, 20); the guess-tuple search needs over 10^6 states
+    auto = validate_adb(
+        ["l0", "l1", "l2"],
+        ["a", "b", "c"],
+        "l0",
+        ["l0"],
+        [("l0", Out("a", 0), "l1"), ("l1", Out("b", 10), "l2"),
+         ("l2", Out("c", 20), "l0")],
+    )
+    assert model_check(auto, abc_blocks, cap=100).holds
+    assert model_check(auto, bac_blocks, cap=100).counterexample == ("a", "b", "c")

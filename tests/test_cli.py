@@ -117,6 +117,16 @@ def test_construct_star_then_member(tmp_path, capsys):
     assert (code, out.strip()) == (0, "MEMBER")
 
 
+def test_construct_unwritable_out(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "a1star.adb"
+    code, out, err = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", out_path
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+
+
 def test_construct_concat_has_tick_chains(capsys):
     code, out, _ = run(
         capsys, "construct", "concat", EXAMPLES / "a1.adb", EXAMPLES / "a1.adb"

@@ -1,13 +1,7 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from adb import (
     UnknownSymbol,
-    complement,
-    determinize,
-    dfa_as_nfa,
-    dfa_member,
     eliminate_eps,
     eps_closure,
     nfa_member,
@@ -73,24 +67,6 @@ def test_eliminate_eps_preserves_language():
         assert nfa_member(free, word) == nfa_member(nfa, word)
 
 
-def test_determinize_and_complement():
-    nfa = ab_star_b()
-    dfa = determinize(nfa)
-    comp = complement(dfa)
-    for word in ["", "a", "b", "ab", "bb", "aba", "bab"]:
-        assert dfa_member(dfa, word) == nfa_member(nfa, word)
-        assert dfa_member(comp, word) != nfa_member(nfa, word)
-    # total: every (state, letter) has a successor
-    assert len(dfa.transitions) == len(dfa.states) * len(dfa.alphabet)
-
-
-def test_dfa_as_nfa_round_trip():
-    nfa = with_eps()
-    back = dfa_as_nfa(determinize(nfa))
-    for word in ["", "a", "b", "ab", "ba"]:
-        assert nfa_member(back, word) == nfa_member(nfa, word)
-
-
 def test_single_word_nfa():
     nfa = single_word_nfa(("a", "b"), ["a", "b", "c"])
     assert nfa_member(nfa, ("a", "b"))
@@ -101,18 +77,3 @@ def test_single_word_nfa():
     assert not nfa_member(empty, ("a",))
     with pytest.raises(UnknownSymbol):
         single_word_nfa(("z",), ["a"])
-
-
-words = st.lists(st.sampled_from("ab"), max_size=8).map(tuple)
-
-
-@given(words)
-def test_subset_construction_agrees_with_simulation(word):
-    nfa = with_eps()
-    assert dfa_member(determinize(nfa), word) == nfa_member(nfa, word)
-
-
-@given(words)
-def test_complement_is_exact_negation(word):
-    nfa = ab_star_b()
-    assert dfa_member(complement(determinize(nfa)), word) != nfa_member(nfa, word)
