@@ -5,8 +5,7 @@ verified counterexamples."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import Adb, Run, is_accepting_run, run_output
 from .errors import (
@@ -128,8 +127,7 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
 # intersection emptiness, untimed membership, model checking
 
 
-@dataclass(frozen=True)
-class IntersectionWitness:
+class IntersectionWitness(NamedTuple):
     """A word in the intersection plus the automaton run generating it."""
 
     word: UntimedWord
@@ -162,8 +160,7 @@ def member_untimed(adb: Adb, u: UntimedWord, cap=None) -> bool:
     return _search(adb, single_word_nfa(u, adb.alphabet), True, cap) is not None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     counterexample: Optional[UntimedWord] = None
     witness_run: Optional[Run] = None

@@ -4,9 +4,8 @@ acceptance, output semantics, and the stamped-alphabet regular view."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from . import regular
 from .errors import (
@@ -42,19 +41,22 @@ def check_location(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Adb:
+class Adb(NamedTuple("Adb", [
+    ("locations", FrozenSet[str]),
+    ("alphabet", FrozenSet[str]),
+    ("start", str),
+    ("accepting", FrozenSet[str]),
+    ("transitions", FrozenSet[Transition]),
+])):
     """An automaton with per-transition output delays.
 
     Instances are immutable; build them through :func:`validate_adb` (or the
-    text-format parser) so the structural invariants hold.
+    text-format parser) so the structural invariants hold.  The class keeps
+    an instance ``__dict__`` (no ``__slots__``) for its cached indexes.
     """
 
-    locations: FrozenSet[str]
-    alphabet: FrozenSet[str]
-    start: str
-    accepting: FrozenSet[str]
-    transitions: FrozenSet[Transition]
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to Adb.%s" % name)
 
     @cached_property
     def sorted_transitions(self) -> Tuple[Transition, ...]:
@@ -137,12 +139,33 @@ def validate_adb(
     return Adb(loc_set, frozenset(alpha), start, acc, frozenset(trans))
 
 
-@dataclass(frozen=True)
 class Run:
-    """A path ``l0 --a0--> l1 --a1--> ... ln`` through an automaton."""
+    """A path ``l0 --a0--> l1 --a1--> ... ln`` through an automaton.
 
-    start: str
-    steps: Tuple[Tuple[Label, str], ...] = ()
+    Not a tuple: its length is the number of steps."""
+
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: str, steps: Tuple[Tuple[Label, str], ...] = ()):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to Run.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete Run.%s" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.steps) == (other.start, other.steps)
+
+    def __hash__(self):
+        return hash((self.start, self.steps))
+
+    def __repr__(self):
+        return "Run(start=%r, steps=%r)" % (self.start, self.steps)
 
     def __len__(self):
         return len(self.steps)

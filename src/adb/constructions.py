@@ -16,8 +16,7 @@ construction output passes structural validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
@@ -121,8 +120,7 @@ def star(adb: Adb) -> Adb:
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
 
 
-@dataclass(frozen=True)
-class ProductState:
+class ProductState(NamedTuple):
     loc: str
     slots: Tuple  # M+1 spec positions, current slot first
     guesses: Tuple  # M guessed slot-start positions

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Set, Tuple
+from typing import Iterator, NamedTuple, Set, Tuple
 
 from .automaton import Adb, Run, is_accepting_run, run_output
 from .errors import BoundExceeded, DecreasingTimestamp, WindowTooShort
@@ -96,8 +95,7 @@ def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PumpDecomposition:
+class PumpDecomposition(NamedTuple):
     """``run = prefix . side0 . pump . side1 . suffix`` with the window
     covering ``side0 . pump . side1`` and ``pump`` a loop on one location."""
 

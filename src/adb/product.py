@@ -10,6 +10,7 @@ with the letter.  A tick maps ``current`` through the first relation,
 shifts the rest down and opens the newest slot with the identity.  At an
 accepting location the pending slots flush, so the spec states the run's
 untimed output reaches are ``current`` composed with every relation.
+Edges into locations that cannot reach an accepting one are never taken.
 """
 
 from __future__ import annotations
@@ -59,14 +60,28 @@ class RelationProduct:
         self.spec = eliminate_eps(spec)
         self.hit = hit
         self.identity = frozenset((q, q) for q in self.spec.states)
+        # Locations that can still reach an accepting one: a shortest
+        # accepting path never leaves them.
+        preds = {}
+        for src, _, dst in adb.transitions:
+            preds.setdefault(dst, []).append(src)
+        self.live = set(adb.accepting)
+        stack = list(self.live)
+        while stack:
+            for src in preds.get(stack.pop(), ()):
+                if src not in self.live:
+                    self.live.add(src)
+                    stack.append(src)
 
     def initial_state(self) -> RelationState:
         return RelationState(self.adb.start, frozenset({self.spec.start}),
                              (self.identity,) * self.adb.max_delay)
 
     def successors(self, ps: RelationState) -> Iterator[Tuple[Label, RelationState]]:
-        step = self.spec.step
+        step, live = self.spec.step, self.live
         for label, dst in self.adb.edges_from(ps.loc):
+            if dst not in live:
+                continue
             current, pending = ps.current, ps.pending
             if isinstance(label, Out) and label.delay == 0:
                 current = frozenset(r for q in current for r in step(q, label.symbol))

@@ -8,22 +8,26 @@ epsilon transition carries the letter ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import UnknownLocation, UnknownSymbol
 
 NfaTransition = Tuple[Hashable, Hashable, Hashable]  # (src, letter-or-None, dst)
 
 
-@dataclass(frozen=True)
-class Nfa:
-    states: FrozenSet
-    alphabet: FrozenSet
-    start: Hashable
-    accepting: FrozenSet
-    transitions: FrozenSet[NfaTransition]
+class Nfa(NamedTuple("Nfa", [
+    ("states", FrozenSet),
+    ("alphabet", FrozenSet),
+    ("start", Hashable),
+    ("accepting", FrozenSet),
+    ("transitions", FrozenSet[NfaTransition]),
+])):
+    """An immutable NFA; like ``Adb``, it keeps an instance ``__dict__`` for
+    its cached indexes."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to Nfa.%s" % name)
 
     @cached_property
     def _eps_index(self):

@@ -18,8 +18,7 @@ words whitespace-separated symbols, and label sequences ``sym/d`` / ``tick``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DecreasingTimestamp, InvalidSymbol, ParseError
 
@@ -40,17 +39,16 @@ def check_symbol(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Out:
+class Out(NamedTuple("Out", [("symbol", str), ("delay", int)])):
     """Output label: emit ``symbol`` after ``delay`` time units."""
 
-    symbol: str
-    delay: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_symbol(self.symbol)
-        if self.delay < 0:
+    def __new__(cls, symbol: str, delay: int):
+        check_symbol(symbol)
+        if delay < 0:
             raise ValueError("delay must be nonnegative")
+        return super().__new__(cls, symbol, delay)
 
     def __repr__(self):
         return "Out(%s/%d)" % (self.symbol, self.delay)

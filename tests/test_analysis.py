@@ -8,6 +8,7 @@ from adb import (
     InternalVerificationFailure,
     Out,
     UnknownSymbol,
+    Verdict,
     brute_member_timed,
     intersect_regular,
     intersect_regular_empty,
@@ -19,6 +20,8 @@ from adb import (
     member_untimed,
     model_check,
     nfa_member,
+    parse_adb,
+    parse_nfa,
     parse_timed_word,
     random_mutations,
     run_output,
@@ -225,3 +228,37 @@ def test_model_check_large_delays(abc_blocks, bac_blocks):
     )
     assert model_check(auto, abc_blocks, cap=100).holds
     assert model_check(auto, bac_blocks, cap=100).counterexample == ("a", "b", "c")
+
+
+def test_search_skips_locations_that_cannot_accept():
+    # l0/l1 never reach the accepting location, but their ticks and delayed
+    # outputs feed the spec relations without bound
+    auto = parse_adb("""
+alphabet a b
+locations l0 l1 dead
+start l0
+accept dead
+trans l0 l1 out a 0
+trans l1 l0 out b 3
+trans l0 l0 out a 2
+trans l1 l1 out b 1
+trans l1 l1 tick
+trans l0 l0 tick
+""")
+    spec = parse_nfa("""
+alphabet a b
+states s0 s1 s2 s3 s4
+start s0
+accept s0 s3
+trans s0 s2 on a
+trans s0 s4 on b
+trans s1 s3 on a
+trans s1 s1 on b
+trans s2 s1 on a
+trans s2 s3 on b
+trans s3 s0 on b
+trans s4 s0 on a
+trans s4 s3 on b
+""")
+    assert model_check(auto, spec, cap=100) == Verdict(holds=True)
+    assert intersect_regular_empty(auto, spec, cap=100) is None

@@ -3,13 +3,18 @@ import pytest
 from adb import (
     EPS,
     TICK,
+    Adb,
     DuplicateLocation,
+    IntersectionWitness,
     InvalidStep,
     InvalidSymbol,
+    Nfa,
     Out,
+    PumpDecomposition,
     ReservedSymbol,
     Run,
     UnknownLocation,
+    Verdict,
     check_run,
     is_accepting_run,
     nfa_member,
@@ -17,6 +22,7 @@ from adb import (
     run_output,
     validate_adb,
 )
+from adb.constructions import ProductState
 
 
 def simple():
@@ -104,3 +110,57 @@ def test_reg_view_keeps_eps_and_tick(a2):
     view = reg_view(a2)
     assert nfa_member(view, ["tick", "tick"])
     assert not nfa_member(view, ["tick"])
+
+
+STEP = (Out("a", 1), "l0")
+RECORDS = [
+    (Out, dict(symbol="a", delay=1)),
+    (Adb, dict(locations=frozenset({"l0"}), alphabet=frozenset({"a"}), start="l0",
+               accepting=frozenset({"l0"}), transitions=frozenset({("l0",) + STEP}))),
+    (Run, dict(start="l0", steps=(STEP,))),
+    (Nfa, dict(states=frozenset({0, 1}), alphabet=frozenset({"a"}), start=0,
+               accepting=frozenset({1}), transitions=frozenset({(0, "a", 1)}))),
+    (Verdict, dict(holds=False, counterexample=("a",), witness_run=Run("l0", (STEP,)))),
+    (IntersectionWitness, dict(word=("a",), run=Run("l0", (STEP,)), states_explored=3)),
+    (PumpDecomposition, dict(start="l0", prefix=(), side0=(), pump=(STEP,),
+                             side1=(), suffix=())),
+    (ProductState, dict(loc="l0", slots=("q0", "q1"), guesses=("q1",))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_value_semantics(cls, fields):
+    record, twin = cls(**fields), cls(**fields)
+    assert record == twin and hash(record) == hash(twin)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    if cls is not Out:
+        assert repr(record) == "%s(%s)" % (
+            cls.__name__, ", ".join("%s=%r" % item for item in fields.items()))
+    for name in list(fields) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert record == twin
+
+
+def test_record_defaults_and_checks():
+    assert Run("l0").steps == () and Run(start="l0") == Run("l0", ())
+    verdict = Verdict(holds=True)
+    assert verdict.counterexample is None and verdict.witness_run is None
+    assert repr(Out("a", 2)) == "Out(a/2)"
+    with pytest.raises(InvalidSymbol):
+        Out("tick", 0)
+    with pytest.raises(ValueError):
+        Out("a", -1)
+
+
+def test_adb_cached_indexes(a3):
+    twin = validate_adb(a3.locations, a3.alphabet, a3.start, a3.accepting,
+                        a3.transitions)
+    assert a3.max_delay == 2
+    assert a3.sorted_transitions == (
+        ("l0", Out("a", 0), "l1"),
+        ("l0", Out("b", 0), "l2"),
+        ("l1", Out("c", 1), "l0"),
+        ("l2", Out("d", 2), "l0"),
+    )
+    assert a3 == twin and hash(a3) == hash(twin)

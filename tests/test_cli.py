@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from adb.cli import main
 from conftest import EXAMPLES
 
@@ -250,3 +254,17 @@ def test_oracle_member(capsys):
 def test_usage_error(capsys):
     assert run(capsys, "member", EXAMPLES / "a1.adb")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+def test_cli_import_skips_dataclasses():
+    # importing dataclasses and generating its classes cost more start-up
+    # time than the rest of the package; this checks modules, not timings
+    src = str(EXAMPLES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import adb.cli, sys; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
