@@ -19,7 +19,7 @@ from .product import RelationProduct, search_accepting, state_cap
 from .regular import Nfa, nfa_member, single_word_nfa
 from .words import (
     EPS,
-    Out,
+    TICK,
     TimedWord,
     UntimedWord,
     oword,
@@ -71,16 +71,19 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
 
     A state is ``(loc, clock, counts)``: an automaton location, the ticks
     taken so far and ``M+1`` consumption counts, one per open time slot
-    ``clock .. clock+M`` (M being the largest delay).  The clock stops at
-    one past the final timestamp, where every slot is empty, which keeps
-    the search finite across eps/tick cycles.
+    ``clock .. clock+M`` (M being the largest delay).  The counts are packed
+    into one int in base ``b``, one more than the most letters any slot
+    holds, with digit ``i`` for slot ``clock+i``.  The clock stops at one
+    past the final timestamp, where every slot is empty, which keeps the
+    search finite across eps/tick cycles.
 
     An output with delay d must match the next unconsumed letter of slot
-    ``clock+d``; a tick needs slot ``clock`` to be full, then shifts the
-    window by one slot.  A state accepts when its location is accepting,
-    the window reaches the final timestamp and every slot in it is full:
-    the outputs still pending then surface exactly as the word's remaining
-    letters.  The empty word needs no special case."""
+    ``clock+d`` (digit d), and adds ``b**d``; a tick needs slot ``clock`` to
+    be full (digit 0), then floor-divides by ``b`` to shift the window by
+    one slot.  A state accepts when its location is accepting, the window
+    reaches the final timestamp and every slot in it is full: the outputs
+    still pending then surface exactly as the word's remaining letters.  The
+    empty word needs no special case."""
     if cap is None:
         cap = state_cap()
     w = validate_timed_word(w)
@@ -92,29 +95,35 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     segments = [[] for _ in range(t_end + m + 2)]
     for sym, t in w:
         segments[t].append(sym)
-    full = [len(seg) for seg in segments]
+    sizes = [len(seg) for seg in segments]
+    for seg in segments:
+        seg.append(None)  # read by an output once its slot is full
+    b = max(sizes) + 1
+    power = [b**d for d in range(m + 1)]
+    # the counts of a window whose every slot is full, per clock
+    full = [sum(sizes[clock + d] * power[d] for d in range(m + 1))
+            for clock in range(t_end + 2)]
 
-    start = (adb.start, 0, (0,) * (m + 1))
+    accepting, edges_from = adb.accepting, adb.edges_from
+    start = (adb.start, 0, 0)
     seen = {start}
     queue = deque([start])
     while queue:
         loc, clock, counts = queue.popleft()
-        if (loc in adb.accepting and clock + m >= t_end
-                and all(c == full[clock + i] for i, c in enumerate(counts))):
+        if loc in accepting and clock + m >= t_end and counts == full[clock]:
             return True
-        for label, dst in adb.edges_from(loc):
-            if isinstance(label, Out):
-                d = label.delay
-                seg, c = segments[clock + d], counts[d]
-                if c == len(seg) or seg[c] != label.symbol:
-                    continue
-                state = (dst, clock, counts[:d] + (c + 1,) + counts[d + 1:])
-            elif label is EPS:
+        for label, dst in edges_from(loc):
+            if label is EPS:
                 state = (dst, clock, counts)
-            elif counts[0] == full[clock]:
-                state = (dst, min(clock + 1, t_end + 1), counts[1:] + (0,))
+            elif label is TICK:
+                if counts % b != sizes[clock]:
+                    continue
+                state = (dst, clock + 1 if clock <= t_end else clock, counts // b)
             else:
-                continue
+                sym, d = label
+                if segments[clock + d][counts // power[d] % b] != sym:
+                    continue
+                state = (dst, clock, counts + power[d])
             if state not in seen:
                 seen.add(state)
                 if len(seen) > cap:

@@ -7,6 +7,7 @@ Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, constructions, oracle
@@ -242,5 +243,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry point: run :func:`main`, flush the output, then end
+    the process without the interpreter's teardown, which would only free
+    memory that the process is about to give back.  A flush that fails
+    exits through ``sys.exit``, so the interpreter reports the error as
+    usual; an exception out of ``main`` never gets here and keeps its
+    traceback."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

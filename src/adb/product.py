@@ -11,6 +11,11 @@ shifts the rest down and opens the newest slot with the identity.  At an
 accepting location the pending slots flush, so the spec states the run's
 untimed output reaches are ``current`` composed with every relation.
 Edges into locations that cannot reach an accepting one are never taken.
+
+Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
+a set is a frozenset of ints and a relation a frozenset of int pairs.  The
+table memoizes every step, composition and image, so a search computes each
+one once and equal sets are shared objects, which compare by identity.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import FrozenSet, Iterator, NamedTuple, Tuple
 
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
-from .regular import Nfa, eliminate_eps
-from .words import EPS, Label, Out
+from .regular import Nfa, SpecTable
+from .words import EPS, TICK, Label
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -45,10 +50,6 @@ class RelationState(NamedTuple):
     pending: Tuple[FrozenSet, ...]  # M spec relations, slot clock+1 first
 
 
-def _image(states: FrozenSet, relation: FrozenSet) -> FrozenSet:
-    return frozenset(q for p, q in relation if p in states)
-
-
 class RelationProduct:
     """Lazy successors.  With ``hit`` a state accepts when the output can
     end in an accepting spec state (intersection, membership); without, when
@@ -57,9 +58,8 @@ class RelationProduct:
     def __init__(self, adb: Adb, spec: Nfa, hit: bool = True):
         check_alphabet(adb, spec)
         self.adb = adb
-        self.spec = eliminate_eps(spec)
+        self.table = SpecTable(spec)
         self.hit = hit
-        self.identity = frozenset((q, q) for q in self.spec.states)
         # Locations that can still reach an accepting one: a shortest
         # accepting path never leaves them.
         preds = {}
@@ -74,28 +74,30 @@ class RelationProduct:
                     stack.append(src)
 
     def initial_state(self) -> RelationState:
-        return RelationState(self.adb.start, frozenset({self.spec.start}),
-                             (self.identity,) * self.adb.max_delay)
+        return RelationState(self.adb.start, frozenset({self.table.start}),
+                             (self.table.identity,) * self.adb.max_delay)
 
     def successors(self, ps: RelationState) -> Iterator[Tuple[Label, RelationState]]:
-        step, live = self.spec.step, self.live
+        table, live, hit = self.table, self.live, self.hit
         for label, dst in self.adb.edges_from(ps.loc):
             if dst not in live:
                 continue
-            current, pending = ps.current, ps.pending
-            if isinstance(label, Out) and label.delay == 0:
-                current = frozenset(r for q in current for r in step(q, label.symbol))
-            elif isinstance(label, Out):
-                d = label.delay - 1
-                relation = frozenset(
-                    (p, r) for p, q in pending[d] for r in step(q, label.symbol)
-                )
-                pending = pending[:d] + (relation,) + pending[d + 1:]
-            elif label is not EPS and pending:  # a tick
-                current = _image(current, pending[0])
-                pending = pending[1:] + (self.identity,)
-            if self.hit and not (current and all(pending)):
-                continue  # the image is empty from here on
+            _, current, pending = ps
+            if label is TICK:
+                if pending:
+                    current = table.image(current, pending[0])
+                    pending = pending[1:] + (table.identity,)
+            elif label is not EPS:
+                symbol, d = label
+                if d == 0:
+                    current = table.step(current, symbol)
+                else:
+                    relation = table.compose(pending[d - 1], symbol)
+                    if hit and not relation:
+                        continue  # the image is empty from here on
+                    pending = pending[:d - 1] + (relation,) + pending[d:]
+            if hit and not current:
+                continue
             yield label, RelationState(dst, current, pending)
 
     def is_accepting(self, ps: RelationState) -> bool:
@@ -103,8 +105,8 @@ class RelationProduct:
             return False
         image = ps.current
         for relation in ps.pending:
-            image = _image(image, relation)
-        return bool(image & self.spec.accepting) == self.hit
+            image = self.table.image(image, relation)
+        return bool(image & self.table.accepting) == self.hit
 
 
 def search_accepting(product: RelationProduct, cap=None):

@@ -84,23 +84,111 @@ def eps_closure(nfa: Nfa, states: Iterable) -> frozenset:
     return frozenset(closure)
 
 
+class SpecTable:
+    """An NFA prepared for the relation product: its states are numbered
+    ``0 .. n-1`` in ``names`` order and its eps transitions are folded into
+    the letter steps, as :func:`eliminate_eps` folds them.
+
+    A set of spec states is a frozenset of state numbers and a relation a
+    frozenset of number pairs.  ``step`` and ``compose`` are memoized per
+    (set or relation, letter) and ``image`` per (set, relation), so equal
+    inputs share one result object."""
+
+    def __init__(self, nfa: Nfa):
+        self.names = tuple(nfa.states)
+        n = len(self.names)
+        index = {s: i for i, s in enumerate(self.names)}
+        # Bitmasks per state, for acceptance and for each letter the states
+        # one letter on; propagating them backwards along eps edges until
+        # none grows gives the values of the eps closures.
+        accept = [1 if s in nfa.accepting else 0 for s in self.names]
+        rows, preds = {}, {}
+        for src, letter, dst in nfa.transitions:
+            if letter is None:
+                preds.setdefault(index[dst], []).append(index[src])
+            else:
+                if letter not in rows:
+                    rows[letter] = [0] * n
+                rows[letter][index[src]] |= 1 << index[dst]
+        work = list(preds)
+        while work:
+            t = work.pop()
+            for s in preds.get(t, ()):
+                grew = False
+                for row in (accept, *rows.values()):
+                    if row[t] & ~row[s]:
+                        row[s] |= row[t]
+                        grew = True
+                if grew:
+                    work.append(s)
+        self.start = index[nfa.start]
+        self.accepting = frozenset(i for i in range(n) if accept[i])
+        self._rows = rows
+        self._steps = {}
+        self._composed = {}
+        self._images = {}
+
+    @cached_property
+    def identity(self) -> FrozenSet:
+        return frozenset((q, q) for q in range(len(self.names)))
+
+    def _after(self, states: Iterable[int], letter) -> FrozenSet[int]:
+        row = self._rows.get(letter)
+        mask = 0
+        if row is not None:
+            for q in states:
+                mask |= row[q]
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return frozenset(members)
+
+    def step(self, states: FrozenSet[int], letter) -> FrozenSet[int]:
+        """The states one ``letter`` after any of ``states``."""
+        key = (states, letter)
+        result = self._steps.get(key)
+        if result is None:
+            result = self._steps[key] = self._after(states, letter)
+        return result
+
+    def compose(self, relation: FrozenSet, letter) -> FrozenSet:
+        """``{(p, r)}`` for every ``(p, q)`` in ``relation`` and every ``r``
+        one ``letter`` after ``q``."""
+        key = (relation, letter)
+        result = self._composed.get(key)
+        if result is None:
+            result = self._composed[key] = frozenset(
+                (p, r) for p, q in relation for r in self._after((q,), letter)
+            )
+        return result
+
+    def image(self, states: FrozenSet[int], relation: FrozenSet) -> FrozenSet[int]:
+        """``{q}`` for every ``(p, q)`` in ``relation`` with ``p`` in ``states``."""
+        key = (states, relation)
+        result = self._images.get(key)
+        if result is None:
+            result = self._images[key] = frozenset(
+                q for p, q in relation if p in states
+            )
+        return result
+
+
 def eliminate_eps(nfa: Nfa) -> Nfa:
-    """Epsilon-free NFA over the same state set accepting the same language."""
-    letter_edges = {}
-    for src, letter, dst in nfa.transitions:
-        if letter is not None:
-            letter_edges.setdefault(src, []).append((letter, dst))
-    transitions = set()
-    accepting = set()
-    for s in nfa.states:
-        closure = eps_closure(nfa, {s})
-        if closure & nfa.accepting:
-            accepting.add(s)
-        for q in closure:
-            for letter, dst in letter_edges.get(q, ()):
-                transitions.add((s, letter, dst))
-    return Nfa(nfa.states, nfa.alphabet, nfa.start, frozenset(accepting),
-               frozenset(transitions))
+    """Epsilon-free NFA over the same state set accepting the same language:
+    a state accepts when its eps closure does, and steps on a letter
+    wherever a state of its closure does."""
+    table = SpecTable(nfa)
+    names = table.names
+    transitions = frozenset(
+        (names[q], letter, names[r])
+        for letter in table._rows
+        for q in range(len(names))
+        for r in table._after((q,), letter)
+    )
+    return Nfa(nfa.states, nfa.alphabet, nfa.start,
+               frozenset(names[q] for q in table.accepting), transitions)
 
 
 def nfa_member(nfa: Nfa, word: Sequence) -> bool:

@@ -35,6 +35,24 @@ def nfas(draw):
     return validate_nfa(states, SYMBOLS, "q0", accepting, transitions)
 
 
+def eps_cycle_nfa():
+    """Words over a b that end in ``a`` and have no ``a a``, through an eps
+    cycle s0 -> s1 -> s2 -> s0 and an eps self-loop on s3."""
+    return parse_nfa("""
+alphabet a b
+states s0 s1 s2 s3
+start s0
+accept s3
+trans s0 s1 eps
+trans s1 s2 eps
+trans s2 s0 eps
+trans s3 s3 eps
+trans s1 s3 on a
+trans s2 s2 on b
+trans s3 s0 on b
+""")
+
+
 def load_adb(name):
     return parse_adb((EXAMPLES / name).read_text())
 

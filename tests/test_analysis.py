@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adb import (
+    EPS,
     BoundExceeded,
     IncompatibleAlphabet,
     InternalVerificationFailure,
+    TICK,
     Out,
     UnknownSymbol,
     Verdict,
@@ -32,7 +34,7 @@ from adb import (
     validate_adb,
     validate_nfa,
 )
-from conftest import SYMBOLS, adbs, load_adb, nfas
+from conftest import SYMBOLS, adbs, eps_cycle_nfa, load_adb, nfas
 
 # random NFAs, and single-word specs, which tell apart the orders of letters
 specs = st.one_of(
@@ -114,6 +116,33 @@ def test_member_timed_agrees_with_brute_force(auto, max_transitions, seed):
         words.update(random_mutations(w, auto.alphabet, 4, seed))
     for w in sorted(words):
         assert member_timed(auto, w) == brute_member_timed(auto, w), w
+
+
+def cycles(d, times):
+    """The automaton of ``a/d`` then ``b/0`` cycles with idle ticks, and the
+    word of one cycle started at each of ``times``."""
+    auto = validate_adb(["l0", "l1"], ["a", "b"], "l0", ["l0"], [
+        ("l0", Out("a", d), "l1"), ("l1", Out("b", 0), "l0"), ("l0", TICK, "l0"),
+    ])
+    letters = [x for t in times for x in (("a", t + d), ("b", t))]
+    return auto, tuple(sorted(letters, key=lambda x: x[1]))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_member_timed_packed_count_boundaries(d):
+    # member_timed packs the slot counts into one int whose base is one more
+    # than the fullest slot; 9, 10, 11 and 40 letters in one slot sit around
+    # the digit boundaries, and a later cycle makes the window shift past
+    # them; the empty word and a word that skips slots come first
+    auto, skipping = cycles(d, [0, 4])
+    words = [(), skipping]
+    for k in (9, 10, 11, 40):
+        _, dense = cycles(d, [2] * k + [5])
+        words.append(dense)
+        words.extend(random_mutations(dense, auto.alphabet, 3, k))
+    verdicts = [member_timed(auto, w) for w in words]
+    assert verdicts == [brute_member_timed(auto, w) for w in words]
+    assert verdicts[:3] == [True, True, True]
 
 
 def test_member_timed_bound(a2):
@@ -208,6 +237,24 @@ def test_model_check_agrees_with_sample(auto, spec):
         assert is_accepting_run(auto, run)
         assert untime(run_output(auto, run)) == u
         assert not nfa_member(spec, u)
+
+
+def test_eps_cycle_spec_against_construction_and_sample():
+    # the spec's eps cycle and eps self-loop go through the spec table
+    spec = eps_cycle_nfa()
+    auto = validate_adb(["l0", "l1", "l2"], ["a", "b"], "l0", ["l2"], [
+        ("l0", Out("a", 1), "l1"), ("l1", Out("b", 0), "l2"),
+        ("l1", Out("a", 0), "l2"), ("l2", EPS, "l0"), ("l2", TICK, "l2"),
+    ])
+    sample = untimed_sample(auto, 6)
+    witness = intersect_regular_empty(auto, spec)
+    assert not is_empty(intersect_regular(auto, spec))
+    assert witness.word == ("b", "a")
+    assert witness.word in sample and nfa_member(spec, witness.word)
+    verdict = model_check(auto, spec)
+    assert verdict.counterexample == ("a", "a")
+    assert verdict.counterexample in sample
+    assert not nfa_member(spec, verdict.counterexample)
 
 
 def test_member_untimed_large_delay():

@@ -1,7 +1,11 @@
+import io
 import os
 import subprocess
 import sys
 
+import pytest
+
+from adb import cli
 from adb.cli import main
 from conftest import EXAMPLES
 
@@ -268,3 +272,100 @@ def test_cli_import_skips_dataclasses():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def run_process(*argv, env=None):
+    """``python -m adb.cli`` as its own process, with ``src`` on the path."""
+    src = str(EXAMPLES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **(env or {}))
+    # block-buffered output, so whatever the process does not flush is lost
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "adb.cli"] + [str(a) for a in argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def cycle_spec(tmp_path, k):
+    """A k-state cycle over a b c: its guess-tuple intersection with a1 has
+    thousands of locations."""
+    lines = ["alphabet a b c", "states " + " ".join("q%d" % i for i in range(k)),
+             "start q0", "accept q0"]
+    lines += ["trans q%d q%d on %s" % (i, (i + 1) % k, x)
+              for i in range(k) for x in "abc"]
+    path = tmp_path / "cycle.nfa"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("argv, env, want", [
+    (("validate", "a1.adb"), {}, 0),
+    (("member", "a1.adb", "--untimed", "a b c"), {}, 0),
+    (("member", "a1.adb", "--untimed", "a b"), {}, 1),
+    (("modelcheck", "a1.adb", "--spec", "bstar-astar-cstar.nfa"), {}, 1),
+    (("member", "a1.adb", "--timed", "a@"), {}, 2),
+    (("member", "a1.adb", "--untimed", "a b c"), {"ADB_MAX_STATES": "1"}, 3),
+    (("--help",), {}, 0),
+])
+def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
+    # the process ends through cli.run, which skips the interpreter's
+    # teardown; what it prints and its exit code must not change
+    argv = [EXAMPLES / a if a.endswith((".adb", ".nfa")) else a for a in argv]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    expected = run(capsys, *argv)
+    assert expected[0] == want
+    assert run_process(*argv, env=env) == expected
+
+
+def test_process_prints_long_output(tmp_path, capsys):
+    argv = ("construct", "intersect", EXAMPLES / "a1.adb",
+            "--spec", cycle_spec(tmp_path, 12))
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    assert expected[1].count("\n") > 4000
+    assert run_process(*argv) == expected
+
+
+class CountingFlush(io.StringIO):
+    def __init__(self, fail=False):
+        super().__init__()
+        self.fail, self.flushes = fail, 0
+
+    def flush(self):
+        self.flushes += 1
+        if self.fail:
+            raise OSError("flush failed")
+
+
+def test_run_flushes_then_exits_without_teardown(monkeypatch):
+    out, err, exits = CountingFlush(), CountingFlush(), []
+
+    class Exited(Exception):
+        pass
+
+    def fake_exit(code):
+        exits.append((code, out.getvalue(), out.flushes, err.flushes))
+        raise Exited
+
+    monkeypatch.setattr(sys, "argv", ["adb", "member", str(EXAMPLES / "a1.adb"),
+                                      "--untimed", "a b"])
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exited):
+        cli.run()
+    assert exits == [(1, "NOT MEMBER\n", 1, 1)]
+
+
+def test_run_falls_back_to_sys_exit_when_flush_fails(monkeypatch):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["adb", "validate", str(EXAMPLES / "a1.adb")])
+    monkeypatch.setattr(sys, "stdout", CountingFlush(fail=True))
+    monkeypatch.setattr(os, "_exit", exits.append)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert exits == []

@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings
 
 from adb import (
+    Nfa,
     UnknownSymbol,
     eliminate_eps,
     eps_closure,
     nfa_member,
+    parse_nfa,
     single_word_nfa,
     validate_nfa,
 )
+from conftest import EXAMPLES, eps_cycle_nfa, nfas
 
 
 def ab_star_b():
@@ -77,3 +81,44 @@ def test_single_word_nfa():
     assert not nfa_member(empty, ("a",))
     with pytest.raises(UnknownSymbol):
         single_word_nfa(("z",), ["a"])
+
+
+def eliminate_eps_by_closure(nfa):
+    """The reference elimination: one ``eps_closure`` per state."""
+    letter_edges = {}
+    for src, letter, dst in nfa.transitions:
+        if letter is not None:
+            letter_edges.setdefault(src, []).append((letter, dst))
+    transitions = set()
+    accepting = set()
+    for s in nfa.states:
+        closure = eps_closure(nfa, {s})
+        if closure & nfa.accepting:
+            accepting.add(s)
+        for q in closure:
+            for letter, dst in letter_edges.get(q, ()):
+                transitions.add((s, letter, dst))
+    return Nfa(nfa.states, nfa.alphabet, nfa.start, frozenset(accepting),
+               frozenset(transitions))
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.nfa")), ids=lambda p: p.name)
+def test_eliminate_eps_matches_closure_reference_on_examples(path):
+    nfa = parse_nfa(path.read_text())
+    assert eliminate_eps(nfa) == eliminate_eps_by_closure(nfa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+def test_eliminate_eps_matches_closure_reference(nfa):
+    assert eliminate_eps(nfa) == eliminate_eps_by_closure(nfa)
+
+
+def test_eliminate_eps_cycle_and_self_loop():
+    nfa = eps_cycle_nfa()
+    free = eliminate_eps(nfa)
+    assert free == eliminate_eps_by_closure(nfa)
+    # s0, s1 and s2 share one closure; s3 only reaches itself
+    assert free.accepting == {"s3"}
+    assert {(s, dst) for s, letter, dst in free.transitions if letter == "a"} == {
+        ("s0", "s3"), ("s1", "s3"), ("s2", "s3")}
