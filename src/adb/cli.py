@@ -2,26 +2,20 @@
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
 3 resource bound exceeded.  Results go to stdout, diagnostics to stderr.
+
+A canonical command line is parsed straight from :data:`COMMANDS`; any
+other line, including ``--help`` and every usage error, goes to the
+argparse parser that :func:`build_parser` builds from the same table.  Each
+command imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-from . import analysis, constructions, oracle
-from .automaton import Adb, run_output
 from .errors import AdbError, BoundExceeded
-from .textio import parse_adb, parse_automaton, parse_nfa, print_adb
-from .words import (
-    format_timed_word,
-    format_untimed_word,
-    oword,
-    parse_labels,
-    parse_timed_word,
-    parse_untimed_word,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,13 +48,21 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative: %r" % text)
+        value = None
+    if value is None or value < 0:
+        import argparse
+
+        raise argparse.ArgumentTypeError(
+            ("invalid int value: %r" if value is None else "must be nonnegative: %r")
+            % text
+        )
     return value
 
 
 def cmd_validate(args) -> int:
+    from .automaton import Adb
+    from .textio import parse_automaton
+
     auto = _load(args.path, parse_automaton)
     if isinstance(auto, Adb):
         print(
@@ -75,6 +77,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_empty(args) -> int:
+    from . import analysis
+    from .automaton import run_output
+    from .textio import parse_adb
+    from .words import format_timed_word
+
     auto = _load(args.path, parse_adb)
     run = analysis.shortest_accepting_run(auto)
     if run is None:
@@ -87,6 +94,10 @@ def cmd_empty(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from . import analysis
+    from .textio import parse_adb
+    from .words import parse_timed_word, parse_untimed_word
+
     auto = _load(args.path, parse_adb)
     if args.timed is not None:
         verdict = analysis.member_timed(auto, parse_timed_word(args.timed))
@@ -97,6 +108,10 @@ def cmd_member(args) -> int:
 
 
 def cmd_modelcheck(args) -> int:
+    from . import analysis
+    from .textio import parse_adb, parse_nfa
+    from .words import format_untimed_word
+
     auto = _load(args.path, parse_adb)
     verdict = analysis.model_check(auto, _load(args.spec, parse_nfa))
     if verdict.holds:
@@ -108,6 +123,9 @@ def cmd_modelcheck(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+    from .textio import parse_adb, parse_nfa, print_adb
+
     wanted = 2 if args.op in ("union", "concat") else 1
     if len(args.inputs) != wanted:
         raise CliError(
@@ -144,6 +162,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import oracle
+    from .textio import parse_adb
+    from .words import format_timed_word, format_untimed_word
+
     auto = _load(args.path, parse_adb)
     if args.untimed:
         words = oracle.untimed_sample(auto, args.max_transitions)
@@ -163,76 +185,164 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oword(args) -> int:
+    from .words import format_timed_word, oword, parse_labels
+
     print(format_timed_word(oword(parse_labels(args.labels))))
     return EXIT_OK
 
 
 def cmd_oracle_member(args) -> int:
+    from . import oracle
+    from .textio import parse_adb
+    from .words import parse_timed_word
+
     auto = _load(args.path, parse_adb)
     verdict = oracle.brute_member_timed(auto, parse_timed_word(args.timed))
     print("MEMBER" if verdict else "NOT MEMBER")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Per command: its handler, its help line and its arguments as (name,
+# add_argument keywords) pairs, positionals first; a list of pairs is a
+# required mutually exclusive group.
+COMMANDS = {
+    "validate": (cmd_validate, "parse a file and print a summary", [("path", {})]),
+    "empty": (cmd_empty, "decide language emptiness", [("path", {})]),
+    "member": (cmd_member, "decide timed or untimed membership", [
+        ("path", {}),
+        [("--timed", {"help": 'timed word, e.g. "a@0 b@1"'}),
+         ("--untimed", {"help": 'untimed word, e.g. "a b"'})],
+    ]),
+    "modelcheck": (cmd_modelcheck, "check containment in an NFA spec", [
+        ("path", {}),
+        ("--spec", {"required": True}),
+    ]),
+    "construct": (cmd_construct, "run a language construction", [
+        ("op", {"choices": ["union", "concat", "star", "lift", "intersect"]}),
+        ("inputs", {"nargs": "+"}),
+        ("--spec", {}),
+        ("--out", {}),
+    ]),
+    "enumerate": (cmd_enumerate, "list bounded-run language samples", [
+        ("path", {}),
+        ("--max-transitions", {"type": _nonnegative_int, "required": True}),
+        ("--untimed", {"action": "store_true"}),
+    ]),
+    "oword": (cmd_oword, "evaluate a label string to a timed word", [
+        ("--labels", {"required": True}),
+    ]),
+    "oracle-member": (
+        cmd_oracle_member, "timed membership by brute-force run search", [
+            ("path", {}),
+            ("--timed", {"required": True}),
+        ]),
+}
+
+
+def build_parser():
+    """The argparse parser for :data:`COMMANDS`: the reference for every
+    command line, and the parser of the lines :func:`quick_parse` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="adb", description="delay automata toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a file and print a summary")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("empty", help="decide language emptiness")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_empty)
-
-    p = sub.add_parser("member", help="decide timed or untimed membership")
-    p.add_argument("path")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--timed", help='timed word, e.g. "a@0 b@1"')
-    group.add_argument("--untimed", help='untimed word, e.g. "a b"')
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("modelcheck", help="check containment in an NFA spec")
-    p.add_argument("path")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_modelcheck)
-
-    p = sub.add_parser("construct", help="run a language construction")
-    p.add_argument("op", choices=["union", "concat", "star", "lift", "intersect"])
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--spec")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("enumerate", help="list bounded-run language samples")
-    p.add_argument("path")
-    p.add_argument("--max-transitions", type=_nonnegative_int, required=True)
-    p.add_argument("--untimed", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("oword", help="evaluate a label string to a timed word")
-    p.add_argument("--labels", required=True)
-    p.set_defaults(func=cmd_oword)
-
-    p = sub.add_parser(
-        "oracle-member", help="timed membership by brute-force run search"
-    )
-    p.add_argument("path")
-    p.add_argument("--timed", required=True)
-    p.set_defaults(func=cmd_oracle_member)
-
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, keywords in argument:
+                    group.add_argument(flag, **keywords)
+            else:
+                flag, keywords = argument
+                p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _value(token: str, keywords):
+    """``token`` converted as argparse would, or ``None`` when argparse might
+    read it otherwise (it starts with ``-``) or would reject it."""
+    if token[:1] == "-":
+        return None
+    kind = keywords.get("type")
+    if kind is not None:
+        try:
+            token = kind(token)
+        except Exception:  # argparse reports it on its own parse
+            return None
+    if "choices" in keywords and token not in keywords["choices"]:
+        return None
+    return token
+
+
+def quick_parse(argv):
+    """The fields ``build_parser().parse_args(argv)`` returns, for a
+    canonical line: the command, its positionals in order, then exact long
+    options, each at most once, as ``--name value`` or a bare flag, with
+    every required option given.  ``None`` for any other line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    fields = {"command": argv[0], "func": func}
+    positionals, options, needed = [], {}, []
+    for argument in arguments:
+        if isinstance(argument, list):
+            needed.append({flag for flag, _ in argument})
+        else:
+            argument = [argument]
+        for flag, keywords in argument:
+            if flag[0] != "-":
+                positionals.append((flag, keywords))
+                continue
+            dest = flag[2:].replace("-", "_")
+            options[flag] = dest, keywords
+            fields[dest] = False if keywords.get("action") == "store_true" else None
+            if keywords.get("required"):
+                needed.append({flag})
+    i = 1
+    for name, keywords in positionals:
+        end = i + 1
+        if keywords.get("nargs") == "+":
+            while end < len(argv) and argv[end][:1] != "-":
+                end += 1
+        values = [_value(token, keywords) for token in argv[i:end]]
+        if len(values) != end - i or None in values:
+            return None
+        fields[name] = values if "nargs" in keywords else values[0]
+        i = end
+    given = set()
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in options or flag in given:
+            return None
+        given.add(flag)
+        dest, keywords = options[flag]
+        if keywords.get("action") == "store_true":
+            fields[dest] = True
+            i += 1
+            continue
+        value = _value(argv[i + 1], keywords) if i + 1 < len(argv) else None
+        if value is None:
+            return None
+        fields[dest] = value
+        i += 2
+    if any(len(flags & given) != 1 for flags in needed):
+        return None
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = quick_parse(list(argv))
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except BoundExceeded as exc:

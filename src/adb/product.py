@@ -14,19 +14,20 @@ Edges into locations that cannot reach an accepting one are never taken.
 
 Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
 a set is a frozenset of ints and a relation a frozenset of int pairs.  The
-table memoizes every step, composition and image, so a search computes each
-one once and equal sets are shared objects, which compare by identity.
+search memoizes delay-0 steps in the table's per-letter dicts and the table
+memoizes compositions and images, so a search computes each one once and
+equal sets are shared objects, which compare by identity.
 """
 
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, Iterator, NamedTuple, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
 from .regular import Nfa, SpecTable
-from .words import EPS, TICK, Label
+from .words import EPS, TICK
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -51,9 +52,10 @@ class RelationState(NamedTuple):
 
 
 class RelationProduct:
-    """Lazy successors.  With ``hit`` a state accepts when the output can
-    end in an accepting spec state (intersection, membership); without, when
-    it cannot (a counterexample to containment)."""
+    """The automaton and the prepared spec a search runs over.  With ``hit``
+    a state accepts when the output can end in an accepting spec state
+    (intersection, membership); without, when it cannot (a counterexample
+    to containment)."""
 
     def __init__(self, adb: Adb, spec: Nfa, hit: bool = True):
         check_alphabet(adb, spec)
@@ -73,41 +75,6 @@ class RelationProduct:
                     self.live.add(src)
                     stack.append(src)
 
-    def initial_state(self) -> RelationState:
-        return RelationState(self.adb.start, frozenset({self.table.start}),
-                             (self.table.identity,) * self.adb.max_delay)
-
-    def successors(self, ps: RelationState) -> Iterator[Tuple[Label, RelationState]]:
-        table, live, hit = self.table, self.live, self.hit
-        for label, dst in self.adb.edges_from(ps.loc):
-            if dst not in live:
-                continue
-            _, current, pending = ps
-            if label is TICK:
-                if pending:
-                    current = table.image(current, pending[0])
-                    pending = pending[1:] + (table.identity,)
-            elif label is not EPS:
-                symbol, d = label
-                if d == 0:
-                    current = table.step(current, symbol)
-                else:
-                    relation = table.compose(pending[d - 1], symbol)
-                    if hit and not relation:
-                        continue  # the image is empty from here on
-                    pending = pending[:d - 1] + (relation,) + pending[d:]
-            if hit and not current:
-                continue
-            yield label, RelationState(dst, current, pending)
-
-    def is_accepting(self, ps: RelationState) -> bool:
-        if ps.loc not in self.adb.accepting:
-            return False
-        image = ps.current
-        for relation in ps.pending:
-            image = self.table.image(image, relation)
-        return bool(image & self.table.accepting) == self.hit
-
 
 def search_accepting(product: RelationProduct, cap=None):
     """BFS for an accepting product state.
@@ -116,25 +83,62 @@ def search_accepting(product: RelationProduct, cap=None):
     of ``(label, state)`` steps out of the initial state (``None`` when there
     is none), and the number of states reached plus one fresh start state,
     as the explicit construction counts its ``$init`` location.
+
+    States are searched as plain ``(loc, current, pending)`` tuples, which
+    equal and hash as the :class:`RelationState` of the path's steps.
     """
     if cap is None:
         cap = state_cap()
-    parent, frontier = {}, []
+    adb, table, live, hit = product.adb, product.table, product.live, product.hit
+    edges_from, final = adb.edges_from, adb.accepting
+    identity, steps, after = table.identity, table.steps, table.after
+    compose, image, spec_final = table.compose, table.image, table.accepting
 
-    def reached(ps, step) -> bool:
-        parent[ps] = step
-        frontier.append(ps)
-        if len(parent) >= cap:  # with the fresh start state, past the cap
-            raise BoundExceeded(cap)
-        return product.is_accepting(ps)
+    def accepts(current, pending) -> bool:
+        for relation in pending:
+            current = image(current, relation)
+        return bool(current & spec_final) == hit
 
-    start = product.initial_state()
-    goal = start if reached(start, None) else None
+    start = (adb.start, frozenset({table.start}), (identity,) * adb.max_delay)
+    parent = {start: None}
+    if cap <= 1:  # with the fresh start state, past the cap
+        raise BoundExceeded(cap)
+    goal = start if start[0] in final and accepts(*start[1:]) else None
+    frontier = [start]
     for ps in frontier:
         if goal is not None:
             break
-        for label, nxt in product.successors(ps):
-            if nxt not in parent and reached(nxt, (ps, label)):
+        loc, current, pending = ps
+        for label, dst in edges_from(loc):
+            if dst not in live:
+                continue
+            cur, pend = current, pending
+            if label is TICK:
+                if pend:
+                    cur = image(cur, pend[0])
+                    pend = pend[1:] + (identity,)
+            elif label is not EPS:
+                symbol, d = label
+                if d == 0:
+                    memo = steps[symbol]
+                    cur = memo.get(current)
+                    if cur is None:
+                        cur = memo[current] = after(current, symbol)
+                else:
+                    relation = compose(pend[d - 1], symbol)
+                    if hit and not relation:
+                        continue  # the image is empty from here on
+                    pend = pend[:d - 1] + (relation,) + pend[d:]
+            if hit and not cur:
+                continue
+            nxt = (dst, cur, pend)
+            if nxt in parent:
+                continue
+            parent[nxt] = (ps, label)
+            if len(parent) >= cap:
+                raise BoundExceeded(cap)
+            frontier.append(nxt)
+            if dst in final and accepts(cur, pend):
                 goal = nxt
                 break
     if goal is None:
@@ -142,6 +146,6 @@ def search_accepting(product: RelationProduct, cap=None):
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
-        path.append((label, goal))
+        path.append((label, RelationState(*goal)))
         goal = prev
     return tuple(reversed(path)), len(parent) + 1

@@ -90,9 +90,10 @@ class SpecTable:
     the letter steps, as :func:`eliminate_eps` folds them.
 
     A set of spec states is a frozenset of state numbers and a relation a
-    frozenset of number pairs.  ``step`` and ``compose`` are memoized per
-    (set or relation, letter) and ``image`` per (set, relation), so equal
-    inputs share one result object."""
+    frozenset of number pairs.  ``steps[letter]`` memoizes :meth:`after` by
+    set, for the caller to fill; ``compose`` is memoized per (relation,
+    letter) and ``image`` per (set, relation), so equal inputs share one
+    result object."""
 
     def __init__(self, nfa: Nfa):
         self.names = tuple(nfa.states)
@@ -124,7 +125,7 @@ class SpecTable:
         self.start = index[nfa.start]
         self.accepting = frozenset(i for i in range(n) if accept[i])
         self._rows = rows
-        self._steps = {}
+        self.steps = {letter: {} for letter in nfa.alphabet}
         self._composed = {}
         self._images = {}
 
@@ -132,7 +133,8 @@ class SpecTable:
     def identity(self) -> FrozenSet:
         return frozenset((q, q) for q in range(len(self.names)))
 
-    def _after(self, states: Iterable[int], letter) -> FrozenSet[int]:
+    def after(self, states: Iterable[int], letter) -> FrozenSet[int]:
+        """The states one ``letter`` after any of ``states``."""
         row = self._rows.get(letter)
         mask = 0
         if row is not None:
@@ -145,14 +147,6 @@ class SpecTable:
             mask ^= low
         return frozenset(members)
 
-    def step(self, states: FrozenSet[int], letter) -> FrozenSet[int]:
-        """The states one ``letter`` after any of ``states``."""
-        key = (states, letter)
-        result = self._steps.get(key)
-        if result is None:
-            result = self._steps[key] = self._after(states, letter)
-        return result
-
     def compose(self, relation: FrozenSet, letter) -> FrozenSet:
         """``{(p, r)}`` for every ``(p, q)`` in ``relation`` and every ``r``
         one ``letter`` after ``q``."""
@@ -160,7 +154,7 @@ class SpecTable:
         result = self._composed.get(key)
         if result is None:
             result = self._composed[key] = frozenset(
-                (p, r) for p, q in relation for r in self._after((q,), letter)
+                (p, r) for p, q in relation for r in self.after((q,), letter)
             )
         return result
 
@@ -185,7 +179,7 @@ def eliminate_eps(nfa: Nfa) -> Nfa:
         (names[q], letter, names[r])
         for letter in table._rows
         for q in range(len(names))
-        for r in table._after((q,), letter)
+        for r in table.after((q,), letter)
     )
     return Nfa(nfa.states, nfa.alphabet, nfa.start,
                frozenset(names[q] for q in table.accepting), transitions)

@@ -145,7 +145,10 @@ def validate_timed_word(letters: Sequence[TimedLetter]) -> TimedWord:
 
 
 def parse_timed_word(text: str) -> TimedWord:
+    """Parse ``sym@t`` tokens, checking each letter once.  A malformed token
+    is reported before an earlier decreasing timestamp."""
     letters = []
+    prev, decrease = 0, None
     for token in text.split():
         sym, sep, stamp = token.partition("@")
         if not sep or not stamp:
@@ -160,11 +163,13 @@ def parse_timed_word(text: str) -> TimedWord:
             check_symbol(sym)
         except InvalidSymbol:
             raise ParseError("bad symbol in %r" % token) from None
+        if t < prev and decrease is None:
+            decrease = len(letters)
+        prev = t
         letters.append((sym, t))
-    try:
-        return validate_timed_word(letters)
-    except DecreasingTimestamp as exc:
-        raise ParseError("timestamps decrease at letter %d" % exc.index) from None
+    if decrease is not None:
+        raise ParseError("timestamps decrease at letter %d" % decrease)
+    return tuple(letters)
 
 
 def format_timed_word(w: Sequence[TimedLetter]) -> str:

@@ -1,9 +1,12 @@
+import contextlib
 import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adb import cli
 from adb.cli import main
@@ -369,3 +372,106 @@ def test_run_falls_back_to_sys_exit_when_flush_fails(monkeypatch):
         cli.run()
     assert exc.value.code == 0
     assert exits == []
+
+
+# ---------------------------------------------------------------------------
+# the quick parse of canonical command lines
+
+
+def argparse_fields(argv):
+    """``vars()`` of argparse's namespace, or ``None`` where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+A1, SPEC = str(EXAMPLES / "a1.adb"), str(EXAMPLES / "astar-bstar-cstar.nfa")
+OUT = "out.adb"
+CANONICAL = [
+    # the lines of this file that reach a command
+    ["validate", A1], ["validate", str(EXAMPLES / "astar-b.nfa")],
+    ["validate", "no-such-file.adb"], ["empty", A1],
+    ["member", A1, "--timed", "a@0 b@1 c@2"], ["member", A1, "--timed", ""],
+    ["member", A1, "--timed", "a@"], ["member", A1, "--untimed", "a b"],
+    ["modelcheck", A1, "--spec", SPEC],
+    ["construct", "star", A1, "--out", OUT],
+    ["construct", "concat", A1, A1],
+    ["construct", "intersect", A1, "--spec", SPEC, "--out", OUT],
+    ["construct", "union", A1, A1, "--out", OUT],
+    ["construct", "lift", SPEC, "--out", OUT],
+    ["construct", "union", A1],
+    ["enumerate", A1, "--max-transitions", "9"],
+    ["enumerate", A1, "--max-transitions", "0"],
+    ["enumerate", A1, "--max-transitions", "4", "--untimed"],
+    ["oword", "--labels", "a/0 tick b/1"], ["oword", "--labels", "bad/"],
+    ["oracle-member", A1, "--timed", "a@0"],
+    # one of each benchmark query shape
+    ["construct", "concat", A1, A1, "--out", OUT],
+    ["construct", "star", OUT, "--out", OUT],
+]
+
+
+@pytest.mark.parametrize("argv", CANONICAL, ids=lambda argv: " ".join(argv[:2]))
+def test_quick_parse_accepts_canonical_lines(argv):
+    quick = cli.quick_parse(argv)
+    assert quick is not None
+    assert vars(quick) == argparse_fields(argv)
+
+
+COMMAND_NAMES = list(cli.COMMANDS) + ["nope", "memb"]
+TOKENS = COMMAND_NAMES + [
+    "--timed", "--untimed", "--spec", "--out", "--max-transitions", "--labels",
+    "--unt", "--t", "--sp", "--o", "--max", "--lab", "--spec=x", "--timed=a@0",
+    "--max-transitions=3", "-h", "--help", "--", "-1", "-", "", "-a@0",
+    A1, SPEC, "a@0 b@1", "a b", "3", "0", "x", "union", "star", "intersect",
+    "lift", "concat",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """Canonical lines with a few tokens replaced, dropped or added, and
+    lines of tokens drawn at random."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(TOKENS), max_size=7))
+    argv = list(draw(st.sampled_from(CANONICAL)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "drop", "insert", "swap"]))
+        i = draw(st.integers(0, max(len(argv) - 1, 0)))
+        token = draw(st.sampled_from(TOKENS))
+        if edit == "replace" and argv:
+            argv[i] = token
+        elif edit == "drop" and argv:
+            del argv[i]
+        elif edit == "insert":
+            argv.insert(i, token)
+        elif edit == "swap" and len(argv) > i + 1:
+            argv[i], argv[i + 1] = argv[i + 1], argv[i]
+    return argv
+
+
+@settings(max_examples=1500, deadline=None)
+@given(command_lines())
+def test_quick_parse_agrees_with_argparse(argv):
+    quick = cli.quick_parse(argv)
+    if quick is not None:
+        assert vars(quick) == argparse_fields(argv)
+
+
+def test_canonical_member_loads_only_what_it_runs():
+    src = str(EXAMPLES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from adb import cli\n"
+        "code = cli.main(['member', %r, '--untimed', 'a b c'])\n"
+        "print(code, sorted(m for m in ('argparse', 'adb.constructions',"
+        " 'adb.oracle') if m in sys.modules))\n" % A1
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["MEMBER", "0 []"]

@@ -1,0 +1,139 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adb import EPS, TICK, BoundExceeded, Out, single_word_nfa, validate_adb
+from adb.product import RelationProduct, RelationState, search_accepting
+from conftest import SYMBOLS, adbs, load_adb, load_nfa, nfas
+
+specs = st.one_of(
+    nfas(),
+    st.lists(st.sampled_from(SYMBOLS), max_size=4).map(
+        lambda u: single_word_nfa(u, SYMBOLS)
+    ),
+)
+
+
+# The relation-product search as a successor generator, an acceptance test
+# and a BFS over them: the reference for the one-loop search_accepting.
+
+
+def successors(product, ps):
+    table, live, hit = product.table, product.live, product.hit
+    for label, dst in product.adb.edges_from(ps.loc):
+        if dst not in live:
+            continue
+        _, current, pending = ps
+        if label is TICK:
+            if pending:
+                current = table.image(current, pending[0])
+                pending = pending[1:] + (table.identity,)
+        elif label is not EPS:
+            symbol, d = label
+            if d == 0:
+                current = table.after(current, symbol)
+            else:
+                relation = table.compose(pending[d - 1], symbol)
+                if hit and not relation:
+                    continue
+                pending = pending[:d - 1] + (relation,) + pending[d:]
+        if hit and not current:
+            continue
+        yield label, RelationState(dst, current, pending)
+
+
+def is_accepting(product, ps):
+    if ps.loc not in product.adb.accepting:
+        return False
+    image = ps.current
+    for relation in ps.pending:
+        image = product.table.image(image, relation)
+    return bool(image & product.table.accepting) == product.hit
+
+
+def reference_search(product, cap):
+    parent, frontier = {}, []
+
+    def reached(ps, step):
+        parent[ps] = step
+        frontier.append(ps)
+        if len(parent) >= cap:
+            raise BoundExceeded(cap)
+        return is_accepting(product, ps)
+
+    table = product.table
+    start = RelationState(product.adb.start, frozenset({table.start}),
+                          (table.identity,) * product.adb.max_delay)
+    goal = start if reached(start, None) else None
+    for ps in frontier:
+        if goal is not None:
+            break
+        for label, nxt in successors(product, ps):
+            if nxt not in parent and reached(nxt, (ps, label)):
+                goal = nxt
+                break
+    if goal is None:
+        return None, len(parent) + 1
+    path = []
+    while parent[goal] is not None:
+        prev, label = parent[goal]
+        path.append((label, goal))
+        goal = prev
+    return tuple(reversed(path)), len(parent) + 1
+
+
+def outcome(search, auto, spec, hit, cap):
+    try:
+        path, count = search(RelationProduct(auto, spec, hit), cap)
+    except BoundExceeded as exc:
+        return "BoundExceeded", exc.cap
+    if path is None:
+        return None, count
+    assert all(type(ps) is RelationState for _, ps in path)
+    labels = tuple(label for label, _ in path)
+    locations = tuple(ps.loc for _, ps in path)
+    states = tuple(tuple(ps) for _, ps in path)
+    return labels, locations, states, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(adbs(), specs, st.booleans(), st.sampled_from([4, 10, 10**6]))
+def test_search_matches_reference(auto, spec, hit, cap):
+    assert outcome(search_accepting, auto, spec, hit, cap) == outcome(
+        reference_search, auto, spec, hit, cap)
+
+
+def test_search_matches_reference_at_the_cap():
+    # the a1 ladder with delays (0, 2, 4) against a*b*c*: 7 states searched
+    auto = validate_adb(["l0", "l1", "l2"], ["a", "b", "c"], "l0", ["l0"], [
+        ("l0", Out("a", 0), "l1"), ("l1", Out("b", 2), "l2"),
+        ("l2", Out("c", 4), "l0"), ("l0", TICK, "l0"),
+    ])
+    spec = load_nfa("astar-bstar-cstar.nfa")
+    for hit in (True, False):
+        _, count = reference_search(RelationProduct(auto, spec, hit), 10**6)
+        for cap in range(1, count + 2):
+            want = outcome(reference_search, auto, spec, hit, cap)
+            assert outcome(search_accepting, auto, spec, hit, cap) == want
+            assert (want[0] == "BoundExceeded") == (cap < count)
+
+
+def test_search_matches_reference_on_examples():
+    auto = load_adb("a1.adb")
+    for name in ("astar-bstar-cstar.nfa", "bstar-astar-cstar.nfa", "aabbcc.nfa",
+                 "sigma-star.nfa"):
+        spec = load_nfa(name)
+        for hit in (True, False):
+            want = outcome(reference_search, auto, spec, hit, 10**6)
+            assert outcome(search_accepting, auto, spec, hit, 10**6) == want
+
+
+def test_search_steps_each_letter_apart():
+    # a/0 and b/0 leave the same spec set; only b reaches the spec's word
+    auto = validate_adb(["l0", "l1"], SYMBOLS, "l0", ["l1"], [
+        ("l0", Out("a", 0), "l1"), ("l0", Out("b", 0), "l1"),
+    ])
+    spec = single_word_nfa(("b",), SYMBOLS)
+    for hit in (True, False):
+        want = outcome(reference_search, auto, spec, hit, 10**6)
+        assert outcome(search_accepting, auto, spec, hit, 10**6) == want
+        assert want[0] == ((Out("b", 0),) if hit else (Out("a", 0),))

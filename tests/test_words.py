@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adb import (
@@ -175,3 +175,61 @@ def test_kappa_untime_inverse(u, t):
 @given(st.lists(label_st, max_size=20))
 def test_labels_text_round_trip(labels):
     assert parse_labels(format_labels(labels)) == tuple(labels)
+
+
+def parse_timed_word_in_two_passes(text):
+    """The parser as it was before it checked timestamp order in its own
+    loop: tokens first, then ``validate_timed_word`` over the letters."""
+    from adb.words import check_symbol
+
+    letters = []
+    for token in text.split():
+        sym, sep, stamp = token.partition("@")
+        if not sep or not stamp:
+            raise ParseError("expected sym@t token, got %r" % token)
+        try:
+            t = int(stamp)
+        except ValueError:
+            raise ParseError("bad timestamp in %r" % token) from None
+        if t < 0:
+            raise ParseError("negative timestamp in %r" % token)
+        try:
+            check_symbol(sym)
+        except InvalidSymbol:
+            raise ParseError("bad symbol in %r" % token) from None
+        letters.append((sym, t))
+    try:
+        return validate_timed_word(letters)
+    except DecreasingTimestamp as exc:
+        raise ParseError("timestamps decrease at letter %d" % exc.index) from None
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+timed_tokens = st.one_of(
+    st.builds("{}@{}".format, st.sampled_from(["a", "b", "#", "x-1", "tick", "",
+                                               "a b", "é"]),
+              st.sampled_from(["0", "1", "2", "5", "-1", "+3", "1_0", "x", "",
+                               "1@2"])),
+    st.sampled_from(["a", "a@", "@0", "@", "a@0@", "eps@1"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(timed_tokens, max_size=8), st.sampled_from([" ", "  ", "\t", "\n"]))
+def test_parse_timed_word_matches_two_pass_parser(tokens, sep):
+    text = sep.join(tokens)
+    want = outcome(parse_timed_word_in_two_passes, text)
+    assert outcome(parse_timed_word, text) == want
+
+
+def test_parse_timed_word_reports_bad_token_before_earlier_decrease():
+    with pytest.raises(ParseError, match="bad symbol"):
+        parse_timed_word("a@2 b@1 z!@3")
+    with pytest.raises(ParseError, match="at letter 1"):
+        parse_timed_word("a@2 b@1 c@0")
