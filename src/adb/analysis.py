@@ -5,6 +5,8 @@ verified counterexamples."""
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .automaton import Adb, Run, is_accepting_run, run_output
@@ -15,7 +17,7 @@ from .errors import (
     UnknownLocation,
     UnknownSymbol,
 )
-from .product import RelationProduct, search_accepting, state_cap
+from .product import search_accepting, state_cap
 from .regular import Nfa, nfa_member, single_word_nfa
 from .words import (
     EPS,
@@ -92,17 +94,26 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
             raise UnknownSymbol(sym)
     m = adb.max_delay
     t_end = w[-1][1] if w else -1
-    segments = [[] for _ in range(t_end + m + 2)]
-    for sym, t in w:
-        segments[t].append(sym)
-    sizes = [len(seg) for seg in segments]
-    for seg in segments:
-        seg.append(None)  # read by an output once its slot is full
+    # A clock only advances by a tick, so a search of at most ``cap`` states
+    # never expands a clock past ``cap - 1``: the tables stop there, however
+    # late the word ends.
+    clocks = min(t_end + 2, max(cap, 1))
+    # each slot's letters, then None, read by an output once the slot is full
+    segments = [(None,)] * (clocks + m)
+    sizes = [0] * (clocks + m)
+    for t, letters in groupby(w, itemgetter(1)):
+        if t >= clocks + m:
+            break
+        segments[t] = tuple(sym for sym, _ in letters) + (None,)
+        sizes[t] = len(segments[t]) - 1
     b = max(sizes) + 1
     power = [b**d for d in range(m + 1)]
     # the counts of a window whose every slot is full, per clock
-    full = [sum(sizes[clock + d] * power[d] for d in range(m + 1))
-            for clock in range(t_end + 2)]
+    full = [0] * clocks
+    for t, size in enumerate(sizes):
+        if size:
+            for d in range(max(t - clocks + 1, 0), min(t, m) + 1):
+                full[t - d] += size * power[d]
 
     accepting, edges_from = adb.accepting, adb.edges_from
     start = (adb.start, 0, 0)
@@ -147,12 +158,11 @@ class IntersectionWitness(NamedTuple):
 def _search(adb: Adb, spec: Nfa, hit: bool, cap) -> Optional[IntersectionWitness]:
     """A shortest relation-product path to an output whose spec image does
     (``hit``) or does not meet the spec's accepting states."""
-    path, count = search_accepting(RelationProduct(adb, spec, hit), cap)
+    path, count = search_accepting(adb, spec, hit, cap)
     if path is None:
         return None
-    labels = tuple(label for label, _ in path)
-    run = Run(adb.start, tuple((label, ps.loc) for label, ps in path))
-    return IntersectionWitness(untime(oword(labels)), run, count)
+    run = Run(adb.start, path)
+    return IntersectionWitness(untime(oword(run.labels())), run, count)
 
 
 def intersect_regular_empty(

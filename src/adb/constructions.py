@@ -16,13 +16,12 @@ construction output passes structural validation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Tuple
 
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
 from .product import check_alphabet, state_cap
 from .regular import Nfa, eliminate_eps
-from .words import EPS, TICK, Label, Out
+from .words import EPS, TICK, Out
 
 
 def _renamed(adb: Adb, prefix: str):
@@ -120,85 +119,38 @@ def star(adb: Adb) -> Adb:
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
 
 
-class ProductState(NamedTuple):
-    loc: str
-    slots: Tuple  # M+1 spec positions, current slot first
-    guesses: Tuple  # M guessed slot-start positions
-
-
-class ProductExplorer:
-    """Lazy successor generation over the product's reachable states.
-
-    Guess tuples are enumerated on demand (at the initial fan and at each
-    tick), never materialized up front.
-    """
-
-    def __init__(self, adb: Adb, spec: Nfa):
-        check_alphabet(adb, spec)
-        self.adb = adb
-        self.spec = eliminate_eps(spec)
-        self.delay_bound = adb.max_delay
-        self.spec_states = tuple(sorted(self.spec.states, key=repr))
-
-    def initial_states(self) -> Iterator[ProductState]:
-        """The epsilon fan out of the fresh initial state: one product state
-        per guess tuple, with each future slot starting at its guess."""
-        m = self.delay_bound
-        for guesses in itertools.product(self.spec_states, repeat=m):
-            yield ProductState(self.adb.start, (self.spec.start,) + guesses, guesses)
-
-    def successors(self, ps: ProductState) -> Iterator[Tuple[Label, ProductState]]:
-        m = self.delay_bound
-        for label, dst in self.adb.edges_from(ps.loc):
-            if isinstance(label, Out):
-                slot = ps.slots[label.delay]
-                for nxt in sorted(self.spec.step(slot, label.symbol), key=repr):
-                    slots = (
-                        ps.slots[: label.delay] + (nxt,) + ps.slots[label.delay + 1 :]
-                    )
-                    yield label, ProductState(dst, slots, ps.guesses)
-            elif label is EPS:
-                yield label, ProductState(dst, ps.slots, ps.guesses)
-            else:  # tick
-                if m == 0:
-                    yield label, ProductState(dst, ps.slots, ps.guesses)
-                elif ps.slots[0] == ps.guesses[0]:
-                    for fresh in self.spec_states:
-                        yield label, ProductState(
-                            dst,
-                            ps.slots[1:] + (fresh,),
-                            ps.guesses[1:] + (fresh,),
-                        )
-
-    def is_accepting(self, ps: ProductState) -> bool:
-        if ps.loc not in self.adb.accepting:
-            return False
-        if ps.slots[-1] not in self.spec.accepting:
-            return False
-        return all(ps.slots[j] == ps.guesses[j] for j in range(self.delay_bound))
-
-
 def _encode(ps, spec_names) -> str:
+    loc, slots, guesses = ps
     return "%s|%s|%s" % (
-        ps.loc,
-        ",".join(spec_names[s] for s in ps.slots),
-        ",".join(spec_names[s] for s in ps.guesses),
+        loc,
+        ",".join(spec_names[s] for s in slots),
+        ",".join(spec_names[s] for s in guesses),
     )
 
 
 def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
     """The explicit intersection product automaton.
 
-    Only states reachable from the fresh initial location are materialized.
+    A product location is ``(loc, slots, guesses)``: the automaton location,
+    the M+1 spec positions of the current slot and the next M, and the M
+    guessed slot-start positions.  The fresh initial location's eps fan
+    enters one location per guess tuple, each future slot starting at its
+    guess; guess tuples are enumerated there and at each tick, never
+    materialized up front.  A location accepts when its automaton location
+    and last slot accept and every other slot ended at the next one's
+    guess.  Only locations reachable from the initial one are materialized.
     The untimed language of the result is the intersection of the
     automaton's untimed language with the spec NFA's language.
     """
     if cap is None:
         cap = state_cap()
-    explorer = ProductExplorer(adb, spec)
+    check_alphabet(adb, spec)
+    spec = eliminate_eps(spec)
+    m = adb.max_delay
+    spec_states = tuple(sorted(spec.states, key=repr))
     spec_names = {
         s: s if isinstance(s, str) else "r%d" % i
-        for i, s in enumerate(explorer.spec_states)
+        for i, s in enumerate(spec_states)
     }
 
     init = "$init"
@@ -216,19 +168,31 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
             locations.add(name)
             if len(locations) > cap:
                 raise BoundExceeded(cap)
-            if explorer.is_accepting(ps):
+            loc, slots, guesses = ps
+            if (loc in adb.accepting and slots[-1] in spec.accepting
+                    and slots[:m] == guesses):
                 accepting.add(name)
             frontier.append(ps)
         return name
 
-    for ps in explorer.initial_states():
+    for guesses in itertools.product(spec_states, repeat=m):
+        ps = (adb.start, (spec.start,) + guesses, guesses)
         transitions.append((init, EPS, visit(ps)))
-    index = 0
-    while index < len(frontier):
-        ps = frontier[index]
-        index += 1
+    for ps in frontier:
         src = seen[ps]
-        for label, nxt in explorer.successors(ps):
-            transitions.append((src, label, visit(nxt)))
+        loc, slots, guesses = ps
+        for label, dst in adb.edges_from(loc):
+            if label is EPS or (label is TICK and m == 0):
+                transitions.append((src, label, visit((dst, slots, guesses))))
+            elif label is TICK:
+                if slots[0] == guesses[0]:
+                    for fresh in spec_states:
+                        nxt = (dst, slots[1:] + (fresh,), guesses[1:] + (fresh,))
+                        transitions.append((src, label, visit(nxt)))
+            else:
+                symbol, d = label
+                for q in sorted(spec.step(slots[d], symbol), key=repr):
+                    nxt = (dst, slots[:d] + (q,) + slots[d + 1:], guesses)
+                    transitions.append((src, label, visit(nxt)))
 
     return validate_adb(locations, adb.alphabet, init, accepting, transitions)

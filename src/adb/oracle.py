@@ -50,18 +50,22 @@ def untimed_sample(adb: Adb, max_transitions: int, cap=None) -> Set[Tuple[str, .
 def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     """Timed membership by exhaustive run search.
 
-    A search state is (location, ticks taken, per-timestamp consumption
-    counts).  Outputs must match the next unconsumed letter of their target
-    timestamp; ticks beyond the final timestamp are collapsed, which keeps
-    the state space finite even across eps/tick cycles.  Accept whenever an
-    accepting location is reached with the whole word consumed."""
+    A search state is (location, ticks taken, consumption counts, one per
+    timestamp that carries letters).  Outputs must match the next unconsumed
+    letter of their target timestamp; ticks beyond the final timestamp are
+    collapsed, which keeps the state space finite even across eps/tick
+    cycles.  Accept whenever an accepting location is reached with the whole
+    word consumed."""
     if cap is None:
         cap = state_cap()
     w = validate_timed_word(w)
     t_end = w[-1][1] if w else -1
-    segments = [[] for _ in range(t_end + 1)]
+    index, segments = {}, []  # timestamp -> its position; letters per position
     for sym, t in w:
-        segments[t].append(sym)
+        if t not in index:
+            index[t] = len(segments)
+            segments.append([])
+        segments[index[t]].append(sym)
     full = tuple(len(seg) for seg in segments)
 
     start = (adb.start, 0, (0,) * len(segments))
@@ -73,15 +77,15 @@ def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
             return True
         for label, dst in adb.edges_from(loc):
             if isinstance(label, Out):
-                t = ticks + label.delay
-                if t > t_end or consumed[t] >= full[t]:
+                i = index.get(ticks + label.delay)
+                if i is None or consumed[i] >= full[i]:
                     continue
-                if segments[t][consumed[t]] != label.symbol:
+                if segments[i][consumed[i]] != label.symbol:
                     continue
                 state = (
                     dst,
                     ticks,
-                    consumed[:t] + (consumed[t] + 1,) + consumed[t + 1:],
+                    consumed[:i] + (consumed[i] + 1,) + consumed[i + 1:],
                 )
             elif label is EPS:
                 state = (dst, ticks, consumed)

@@ -14,15 +14,14 @@ Edges into locations that cannot reach an accepting one are never taken.
 
 Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
 a set is a frozenset of ints and a relation a frozenset of int pairs.  The
-search memoizes delay-0 steps in the table's per-letter dicts and the table
-memoizes compositions and images, so a search computes each one once and
-equal sets are shared objects, which compare by identity.
+search prepares its own table and memoizes delay-0 steps per letter, and the
+table memoizes compositions and images, so a search computes each one once
+and equal sets are shared objects, which compare by identity.
 """
 
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, NamedTuple, Tuple
 
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
@@ -45,53 +44,40 @@ def check_alphabet(adb: Adb, spec: Nfa) -> None:
         )
 
 
-class RelationState(NamedTuple):
-    loc: str
-    current: FrozenSet  # spec states after the closed slots and this one
-    pending: Tuple[FrozenSet, ...]  # M spec relations, slot clock+1 first
+def _live(adb: Adb) -> set:
+    """The locations that can still reach an accepting one: a shortest
+    accepting path never leaves them."""
+    preds = {}
+    for src, _, dst in adb.transitions:
+        preds.setdefault(dst, []).append(src)
+    live = set(adb.accepting)
+    stack = list(live)
+    while stack:
+        for src in preds.get(stack.pop(), ()):
+            if src not in live:
+                live.add(src)
+                stack.append(src)
+    return live
 
 
-class RelationProduct:
-    """The automaton and the prepared spec a search runs over.  With ``hit``
-    a state accepts when the output can end in an accepting spec state
-    (intersection, membership); without, when it cannot (a counterexample
-    to containment)."""
-
-    def __init__(self, adb: Adb, spec: Nfa, hit: bool = True):
-        check_alphabet(adb, spec)
-        self.adb = adb
-        self.table = SpecTable(spec)
-        self.hit = hit
-        # Locations that can still reach an accepting one: a shortest
-        # accepting path never leaves them.
-        preds = {}
-        for src, _, dst in adb.transitions:
-            preds.setdefault(dst, []).append(src)
-        self.live = set(adb.accepting)
-        stack = list(self.live)
-        while stack:
-            for src in preds.get(stack.pop(), ()):
-                if src not in self.live:
-                    self.live.add(src)
-                    stack.append(src)
-
-
-def search_accepting(product: RelationProduct, cap=None):
-    """BFS for an accepting product state.
+def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
+    """BFS for an accepting product state.  With ``hit`` a state accepts
+    when the output can end in an accepting spec state (intersection,
+    membership); without, when it cannot (a counterexample to containment).
 
     Returns ``(path, visited_count)``: a shortest accepting path as a tuple
-    of ``(label, state)`` steps out of the initial state (``None`` when there
-    is none), and the number of states reached plus one fresh start state,
-    as the explicit construction counts its ``$init`` location.
-
-    States are searched as plain ``(loc, current, pending)`` tuples, which
-    equal and hash as the :class:`RelationState` of the path's steps.
+    of ``(label, location)`` steps out of the start, the steps of a
+    :class:`~adb.automaton.Run` (``None`` when there is none), and the
+    number of states reached plus one fresh start state, as the explicit
+    construction counts its ``$init`` location.
     """
+    check_alphabet(adb, spec)
     if cap is None:
         cap = state_cap()
-    adb, table, live, hit = product.adb, product.table, product.live, product.hit
+    table, live = SpecTable(spec), _live(adb)
     edges_from, final = adb.edges_from, adb.accepting
-    identity, steps, after = table.identity, table.steps, table.after
+    identity, after = table.identity, table.after
+    steps = {symbol: {} for symbol in adb.alphabet}  # after(), per letter and set
     compose, image, spec_final = table.compose, table.image, table.accepting
 
     def accepts(current, pending) -> bool:
@@ -146,6 +132,6 @@ def search_accepting(product: RelationProduct, cap=None):
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
-        path.append((label, RelationState(*goal)))
+        path.append((label, goal[0]))
         goal = prev
     return tuple(reversed(path)), len(parent) + 1

@@ -90,8 +90,7 @@ class SpecTable:
     the letter steps, as :func:`eliminate_eps` folds them.
 
     A set of spec states is a frozenset of state numbers and a relation a
-    frozenset of number pairs.  ``steps[letter]`` memoizes :meth:`after` by
-    set, for the caller to fill; ``compose`` is memoized per (relation,
+    frozenset of number pairs.  ``compose`` is memoized per (relation,
     letter) and ``image`` per (set, relation), so equal inputs share one
     result object."""
 
@@ -125,7 +124,6 @@ class SpecTable:
         self.start = index[nfa.start]
         self.accepting = frozenset(i for i in range(n) if accept[i])
         self._rows = rows
-        self.steps = {letter: {} for letter in nfa.alphabet}
         self._composed = {}
         self._images = {}
 
@@ -177,7 +175,7 @@ def eliminate_eps(nfa: Nfa) -> Nfa:
     names = table.names
     transitions = frozenset(
         (names[q], letter, names[r])
-        for letter in table._rows
+        for letter in nfa.alphabet
         for q in range(len(names))
         for r in table.after((q,), letter)
     )

@@ -81,6 +81,9 @@ def test_member_timed_negative(a1):
     assert not member_timed(a1, parse_timed_word("a@0"))
     assert not member_timed(a1, parse_timed_word("a@0 b@1"))
     assert not member_timed(a1, parse_timed_word("a@1 b@1 c@2"))
+    # a stamp far past any clock a search can reach costs no memory
+    late = parse_timed_word("a@0 b@100000000")
+    assert not member_timed(a1, late) and not brute_member_timed(a1, late)
     with pytest.raises(UnknownSymbol):
         member_timed(a1, parse_timed_word("z@0"))
 
@@ -149,6 +152,26 @@ def test_member_timed_bound(a2):
     w = parse_timed_word("a@0 a@0 b@1 b@1 c@2 c@2 a@2 b@3 c@4 a@6 b@7 c@8")
     with pytest.raises(BoundExceeded):
         member_timed(a2, w, cap=5)
+    # an idle tick loop ticks on towards a far stamp until the cap stops it
+    idle, _ = cycles(1, [])
+    for decide in (member_timed, brute_member_timed):
+        with pytest.raises(BoundExceeded):
+            decide(idle, parse_timed_word("b@100000000"), cap=1000)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_member_timed_cap_cuts_no_reachable_slot(d):
+    # the tables stop at the last clock a capped search can expand: under
+    # every cap the verdict is the uncapped one or BoundExceeded
+    auto, w = cycles(d, [0, 3, 7])
+    for u in (w, w[:-1], ()):
+        want = member_timed(auto, u)
+        assert want == brute_member_timed(auto, u)
+        for cap in range(0, 60):
+            try:
+                assert member_timed(auto, u, cap=cap) == want
+            except BoundExceeded:
+                pass
 
 
 def test_member_untimed(a1, a3):

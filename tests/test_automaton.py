@@ -22,7 +22,6 @@ from adb import (
     run_output,
     validate_adb,
 )
-from adb.constructions import ProductState
 
 
 def simple():
@@ -124,7 +123,6 @@ RECORDS = [
     (IntersectionWitness, dict(word=("a",), run=Run("l0", (STEP,)), states_explored=3)),
     (PumpDecomposition, dict(start="l0", prefix=(), side0=(), pump=(STEP,),
                              side1=(), suffix=())),
-    (ProductState, dict(loc="l0", slots=("q0", "q1"), guesses=("q1",))),
 ]
 
 

@@ -256,6 +256,11 @@ def test_oracle_member(capsys):
         capsys, "oracle-member", EXAMPLES / "a1.adb", "--timed", "a@0"
     )
     assert (code, out.strip()) == (1, "NOT MEMBER")
+    for command in ("member", "oracle-member"):
+        code, out, err = run(
+            capsys, command, EXAMPLES / "a1.adb", "--timed", "a@0 b@100000000"
+        )
+        assert (code, out, err) == (1, "NOT MEMBER\n", "")
 
 
 def test_usage_error(capsys):

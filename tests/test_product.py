@@ -2,7 +2,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adb import EPS, TICK, BoundExceeded, Out, single_word_nfa, validate_adb
-from adb.product import RelationProduct, RelationState, search_accepting
+from adb.product import check_alphabet, search_accepting
+from adb.regular import SpecTable
 from conftest import SYMBOLS, adbs, load_adb, load_nfa, nfas
 
 specs = st.one_of(
@@ -14,12 +15,24 @@ specs = st.one_of(
 
 
 # The relation-product search as a successor generator, an acceptance test
-# and a BFS over them: the reference for the one-loop search_accepting.
+# and a BFS over them, with its own spec table and live locations: the
+# reference for the one-loop search_accepting.
 
 
-def successors(product, ps):
-    table, live, hit = product.table, product.live, product.hit
-    for label, dst in product.adb.edges_from(ps.loc):
+def live_locations(auto):
+    live = set(auto.accepting)
+    grew = True
+    while grew:
+        grew = False
+        for src, _, dst in auto.transitions:
+            if dst in live and src not in live:
+                live.add(src)
+                grew = True
+    return live
+
+
+def successors(auto, table, live, hit, ps):
+    for label, dst in auto.edges_from(ps[0]):
         if dst not in live:
             continue
         _, current, pending = ps
@@ -38,19 +51,21 @@ def successors(product, ps):
                 pending = pending[:d - 1] + (relation,) + pending[d:]
         if hit and not current:
             continue
-        yield label, RelationState(dst, current, pending)
+        yield label, (dst, current, pending)
 
 
-def is_accepting(product, ps):
-    if ps.loc not in product.adb.accepting:
+def is_accepting(auto, table, hit, ps):
+    loc, image, pending = ps
+    if loc not in auto.accepting:
         return False
-    image = ps.current
-    for relation in ps.pending:
-        image = product.table.image(image, relation)
-    return bool(image & product.table.accepting) == product.hit
+    for relation in pending:
+        image = table.image(image, relation)
+    return bool(image & table.accepting) == hit
 
 
-def reference_search(product, cap):
+def reference_search(auto, spec, hit, cap):
+    check_alphabet(auto, spec)
+    table, live = SpecTable(spec), live_locations(auto)
     parent, frontier = {}, []
 
     def reached(ps, step):
@@ -58,16 +73,15 @@ def reference_search(product, cap):
         frontier.append(ps)
         if len(parent) >= cap:
             raise BoundExceeded(cap)
-        return is_accepting(product, ps)
+        return is_accepting(auto, table, hit, ps)
 
-    table = product.table
-    start = RelationState(product.adb.start, frozenset({table.start}),
-                          (table.identity,) * product.adb.max_delay)
+    start = (auto.start, frozenset({table.start}),
+             (table.identity,) * auto.max_delay)
     goal = start if reached(start, None) else None
     for ps in frontier:
         if goal is not None:
             break
-        for label, nxt in successors(product, ps):
+        for label, nxt in successors(auto, table, live, hit, ps):
             if nxt not in parent and reached(nxt, (ps, label)):
                 goal = nxt
                 break
@@ -76,23 +90,21 @@ def reference_search(product, cap):
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
-        path.append((label, goal))
+        path.append((label, goal[0]))
         goal = prev
     return tuple(reversed(path)), len(parent) + 1
 
 
 def outcome(search, auto, spec, hit, cap):
     try:
-        path, count = search(RelationProduct(auto, spec, hit), cap)
+        path, count = search(auto, spec, hit, cap)
     except BoundExceeded as exc:
         return "BoundExceeded", exc.cap
     if path is None:
         return None, count
-    assert all(type(ps) is RelationState for _, ps in path)
+    assert all(type(step) is tuple and len(step) == 2 for step in path)
     labels = tuple(label for label, _ in path)
-    locations = tuple(ps.loc for _, ps in path)
-    states = tuple(tuple(ps) for _, ps in path)
-    return labels, locations, states, count
+    return labels, path, count
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,7 +122,7 @@ def test_search_matches_reference_at_the_cap():
     ])
     spec = load_nfa("astar-bstar-cstar.nfa")
     for hit in (True, False):
-        _, count = reference_search(RelationProduct(auto, spec, hit), 10**6)
+        _, count = reference_search(auto, spec, hit, 10**6)
         for cap in range(1, count + 2):
             want = outcome(reference_search, auto, spec, hit, cap)
             assert outcome(search_accepting, auto, spec, hit, cap) == want
