@@ -69,23 +69,23 @@ def is_empty(adb: Adb) -> bool:
 
 
 def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
-    """Timed-word membership by breadth-first search over window states.
+    """Timed-word membership by breadth-first search, one clock at a time.
 
-    A state is ``(loc, clock, counts)``: an automaton location, the ticks
-    taken so far and ``M+1`` consumption counts, one per open time slot
-    ``clock .. clock+M`` (M being the largest delay).  The counts are packed
-    into one int in base ``b``, one more than the most letters any slot
-    holds, with digit ``i`` for slot ``clock+i``.  The clock stops at one
-    past the final timestamp, where every slot is empty, which keeps the
-    search finite across eps/tick cycles.
+    At clock ``c`` (the ticks taken) a state is ``(loc, counts)``: an
+    automaton location and ``M+1`` consumption counts, one per open time slot
+    ``c .. c+M`` (M being the largest delay), packed into one int in base
+    ``b``, one more than the most letters any slot holds, with digit ``i``
+    for slot ``c+i``.  Memory follows the word and one clock's states.
 
     An output with delay d must match the next unconsumed letter of slot
-    ``clock+d`` (digit d), and adds ``b**d``; a tick needs slot ``clock`` to
-    be full (digit 0), then floor-divides by ``b`` to shift the window by
-    one slot.  A state accepts when its location is accepting, the window
-    reaches the final timestamp and every slot in it is full: the outputs
-    still pending then surface exactly as the word's remaining letters.  The
-    empty word needs no special case."""
+    ``c+d`` (digit d), and adds ``b**d``; it and eps keep the clock.  A tick
+    needs slot ``c`` to be full (digit 0), then floor-divides by ``b`` to
+    shift the window, passing its state to clock ``c+1``.  One past the final
+    timestamp every slot is empty and a tick keeps the clock, which keeps the
+    search finite across eps/tick cycles.  A state accepts when its location
+    is accepting, the window reaches the final timestamp and every slot in it
+    is full: the outputs still pending then surface exactly as the word's
+    remaining letters.  The empty word needs no special case."""
     if cap is None:
         cap = state_cap()
     w = validate_timed_word(w)
@@ -94,53 +94,54 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
             raise UnknownSymbol(sym)
     m = adb.max_delay
     t_end = w[-1][1] if w else -1
-    # A clock only advances by a tick, so a search of at most ``cap`` states
-    # never expands a clock past ``cap - 1``: the tables stop there, however
-    # late the word ends.
-    clocks = min(t_end + 2, max(cap, 1))
-    # each slot's letters, then None, read by an output once the slot is full
-    segments = [(None,)] * (clocks + m)
-    sizes = [0] * (clocks + m)
-    for t, letters in groupby(w, itemgetter(1)):
-        if t >= clocks + m:
-            break
-        segments[t] = tuple(sym for sym, _ in letters) + (None,)
-        sizes[t] = len(segments[t]) - 1
-    b = max(sizes) + 1
+    slots = {
+        t: tuple(sym for sym, _ in letters)
+        for t, letters in groupby(w, itemgetter(1))
+    }
+    b = max(map(len, slots.values()), default=0) + 1
     power = [b**d for d in range(m + 1)]
-    # the counts of a window whose every slot is full, per clock
-    full = [0] * clocks
-    for t, size in enumerate(sizes):
-        if size:
-            for d in range(max(t - clocks + 1, 0), min(t, m) + 1):
-                full[t - d] += size * power[d]
 
     accepting, edges_from = adb.accepting, adb.edges_from
-    start = (adb.start, 0, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        loc, clock, counts = queue.popleft()
-        if loc in accepting and clock + m >= t_end and counts == full[clock]:
-            return True
-        for label, dst in edges_from(loc):
-            if label is EPS:
-                state = (dst, clock, counts)
-            elif label is TICK:
-                if counts % b != sizes[clock]:
-                    continue
-                state = (dst, clock + 1 if clock <= t_end else clock, counts // b)
-            else:
-                sym, d = label
-                if segments[clock + d][counts // power[d] % b] != sym:
-                    continue
-                state = (dst, clock, counts + power[d])
-            if state not in seen:
-                seen.add(state)
-                if len(seen) > cap:
-                    raise BoundExceeded(cap)
-                queue.append(state)
-    return False
+    clock, found = 0, 1
+    seen = {(adb.start, 0): None}
+    while True:
+        # each open slot's letters, then None, read by an output once full
+        window = [slots.get(clock + d, ()) + (None,) for d in range(m + 1)]
+        size = len(window[0]) - 1
+        full = None
+        if clock + m >= t_end:
+            full = sum((len(s) - 1) * p for s, p in zip(window, power))
+        # the next clock's states; past the final stamp a tick keeps the clock
+        last = clock > t_end
+        ticked = seen if last else {}
+        queue = deque(seen)
+        while queue:
+            loc, counts = queue.popleft()
+            if loc in accepting and counts == full:
+                return True
+            for label, dst in edges_from(loc):
+                into = seen
+                if label is EPS:
+                    state = (dst, counts)
+                elif label is TICK:
+                    if counts % b != size:
+                        continue
+                    state, into = (dst, counts // b), ticked
+                else:
+                    sym, d = label
+                    if window[d][counts // power[d] % b] != sym:
+                        continue
+                    state = (dst, counts + power[d])
+                if state not in into:
+                    into[state] = None
+                    found += 1
+                    if found > cap:
+                        raise BoundExceeded(cap)
+                    if into is seen:
+                        queue.append(state)
+        if last or not ticked:
+            return False
+        clock, seen = clock + 1, ticked
 
 
 # ---------------------------------------------------------------------------

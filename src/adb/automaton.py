@@ -84,10 +84,6 @@ class Adb(NamedTuple("Adb", [
             raise UnknownLocation(loc)
         return self._edges_by_src[loc]
 
-    def successors(self, loc: str, label: Label) -> FrozenSet[str]:
-        """Target set of transitions from ``loc`` carrying exactly ``label``."""
-        return frozenset(dst for lab, dst in self.edges_from(loc) if lab == label)
-
 
 def validate_adb(
     locations: Iterable[str],

@@ -168,17 +168,13 @@ def cmd_enumerate(args) -> int:
 
     auto = _load(args.path, parse_adb)
     if args.untimed:
-        words = oracle.untimed_sample(auto, args.max_transitions)
-        lines = sorted(
-            (format_untimed_word(w) for w in words),
-            key=lambda s: (len(s.split()), s.split()),
-        )
+        sample, fmt = oracle.untimed_sample, format_untimed_word
     else:
-        words = oracle.language_sample(auto, args.max_transitions)
-        lines = sorted(
-            (format_timed_word(w) for w in words),
-            key=lambda s: (len(s.split()), s.split()),
-        )
+        sample, fmt = oracle.language_sample, format_timed_word
+    lines = sorted(
+        map(fmt, sample(auto, args.max_transitions)),
+        key=lambda s: (len(s.split()), s.split()),
+    )
     for line in lines:
         print(line)
     return EXIT_OK

@@ -8,7 +8,7 @@ from collections import deque
 from typing import Iterator, NamedTuple, Set, Tuple
 
 from .automaton import Adb, Run, is_accepting_run, run_output
-from .errors import BoundExceeded, DecreasingTimestamp, WindowTooShort
+from .errors import BoundExceeded, DecreasingTimestamp, UnknownSymbol, WindowTooShort
 from .product import state_cap
 from .words import EPS, Out, TimedWord, rep, validate_timed_word
 
@@ -59,6 +59,9 @@ def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     if cap is None:
         cap = state_cap()
     w = validate_timed_word(w)
+    for sym, _ in w:
+        if sym not in adb.alphabet:
+            raise UnknownSymbol(sym)
     t_end = w[-1][1] if w else -1
     index, segments = {}, []  # timestamp -> its position; letters per position
     for sym, t in w:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,8 +86,26 @@ def test_member_timed_negative(a1):
     # a stamp far past any clock a search can reach costs no memory
     late = parse_timed_word("a@0 b@100000000")
     assert not member_timed(a1, late) and not brute_member_timed(a1, late)
-    with pytest.raises(UnknownSymbol):
-        member_timed(a1, parse_timed_word("z@0"))
+    for decide in (member_timed, brute_member_timed):
+        with pytest.raises(UnknownSymbol):
+            decide(a1, (("z", 0),))
+
+
+def test_member_timed_memory_follows_neither_cap_nor_horizon(a1):
+    # only the word and the states of one clock (and the next) are held:
+    # a far stamp under a large cap, and an idle tick loop that runs clock
+    # after clock until the cap stops it, each peak well below 1 MB
+    idle, _ = cycles(1, [])
+    far = parse_timed_word("a@0 b@100000000")
+    tracemalloc.start()
+    try:
+        assert not member_timed(a1, far, cap=10**6)
+        with pytest.raises(BoundExceeded):
+            member_timed(idle, parse_timed_word("b@100000000"), cap=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_member_timed_idle_ticks(a2):
@@ -161,8 +181,9 @@ def test_member_timed_bound(a2):
 
 @pytest.mark.parametrize("d", [0, 2])
 def test_member_timed_cap_cuts_no_reachable_slot(d):
-    # the tables stop at the last clock a capped search can expand: under
-    # every cap the verdict is the uncapped one or BoundExceeded
+    # the search counts each state against the cap as it first finds it, one
+    # clock after another: under every cap the verdict is the uncapped one or
+    # BoundExceeded
     auto, w = cycles(d, [0, 3, 7])
     for u in (w, w[:-1], ()):
         want = member_timed(auto, u)

@@ -261,6 +261,10 @@ def test_oracle_member(capsys):
             capsys, command, EXAMPLES / "a1.adb", "--timed", "a@0 b@100000000"
         )
         assert (code, out, err) == (1, "NOT MEMBER\n", "")
+        code, out, err = run(
+            capsys, command, EXAMPLES / "a1.adb", "--timed", "a@0 z@1"
+        )
+        assert (code, out, err) == (2, "", "error: symbol not in alphabet: 'z'\n")
 
 
 def test_usage_error(capsys):
