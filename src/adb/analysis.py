@@ -32,31 +32,14 @@ from .words import (
 
 def shortest_accepting_run(adb: Adb) -> Optional[Run]:
     """A shortest path from the start to an accepting location, as a run
-    (``None`` when no accepting location is reachable).  BFS over the sorted
-    transition relation makes the witness reproducible."""
-    parent = {adb.start: None}
-    queue = deque([adb.start])
-    goal = adb.start if adb.start in adb.accepting else None
-    while goal is None and queue:
-        loc = queue.popleft()
-        for label, dst in adb.edges_from(loc):
-            if dst in parent:
-                continue
-            parent[dst] = (loc, label)
-            queue.append(dst)
-            if dst in adb.accepting:
-                goal = dst
-                break
-    if goal is None:
-        return None
-    steps = []
-    loc = goal
-    while parent[loc] is not None:
-        prev, label = parent[loc]
-        steps.append((label, loc))
-        loc = prev
-    steps.reverse()
-    return Run(adb.start, tuple(steps))
+    (``None`` when no accepting location is reachable): the relation
+    product's search with a one-state spec that accepts every word.  Each
+    location then has one product state, so the search never reaches a cap
+    of one more than the locations, and ``ADB_MAX_STATES`` does not apply."""
+    every_word = Nfa(frozenset({0}), adb.alphabet, 0, frozenset({0}),
+                     frozenset((0, symbol, 0) for symbol in adb.alphabet))
+    path, _ = search_accepting(adb, every_word, True, len(adb.locations) + 1)
+    return None if path is None else Run(adb.start, path)
 
 
 def is_empty(adb: Adb) -> bool:

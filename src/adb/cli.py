@@ -1,7 +1,7 @@
 """The ``adb`` command line front end.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
-3 resource bound exceeded.  Results go to stdout, diagnostics to stderr.
+3 resource bound exceeded (the state cap or memory).  Results go to stdout, diagnostics to stderr.
 
 A canonical command line is parsed straight from :data:`COMMANDS`; any
 other line, including ``--help`` and every usage error, goes to the
@@ -31,7 +31,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
 
 
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BOUND
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
     except AdbError as exc:
         print("error: %s" % exc, file=sys.stderr)

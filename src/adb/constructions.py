@@ -20,7 +20,7 @@ import itertools
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
 from .product import check_alphabet, state_cap
-from .regular import Nfa, eliminate_eps
+from .regular import Nfa, SpecTable
 from .words import EPS, TICK, Out
 
 
@@ -119,15 +119,6 @@ def star(adb: Adb) -> Adb:
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
 
 
-def _encode(ps, spec_names) -> str:
-    loc, slots, guesses = ps
-    return "%s|%s|%s" % (
-        loc,
-        ",".join(spec_names[s] for s in slots),
-        ",".join(spec_names[s] for s in guesses),
-    )
-
-
 def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
     """The explicit intersection product automaton.
 
@@ -145,13 +136,14 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
     if cap is None:
         cap = state_cap()
     check_alphabet(adb, spec)
-    spec = eliminate_eps(spec)
+    table = SpecTable(spec)
     m = adb.max_delay
-    spec_states = tuple(sorted(spec.states, key=repr))
-    spec_names = {
-        s: s if isinstance(s, str) else "r%d" % i
-        for i, s in enumerate(spec_states)
-    }
+    # spec positions are the table's state numbers; a location names a
+    # state by itself when it is a string, else by its number
+    spec_names = [
+        s if isinstance(s, str) else "r%d" % i for i, s in enumerate(table.names)
+    ]
+    spec_states = range(len(spec_names))
 
     init = "$init"
     locations = {init}
@@ -163,20 +155,21 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
     def visit(ps):
         name = seen.get(ps)
         if name is None:
-            name = _encode(ps, spec_names)
-            seen[ps] = name
+            loc, slots, guesses = ps
+            name = seen[ps] = "%s|%s|%s" % (
+                loc, ",".join([spec_names[s] for s in slots]),
+                ",".join([spec_names[s] for s in guesses]))
             locations.add(name)
             if len(locations) > cap:
                 raise BoundExceeded(cap)
-            loc, slots, guesses = ps
-            if (loc in adb.accepting and slots[-1] in spec.accepting
+            if (loc in adb.accepting and slots[-1] in table.accepting
                     and slots[:m] == guesses):
                 accepting.add(name)
             frontier.append(ps)
         return name
 
     for guesses in itertools.product(spec_states, repeat=m):
-        ps = (adb.start, (spec.start,) + guesses, guesses)
+        ps = (adb.start, (table.start,) + guesses, guesses)
         transitions.append((init, EPS, visit(ps)))
     for ps in frontier:
         src = seen[ps]
@@ -191,7 +184,7 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
                         transitions.append((src, label, visit(nxt)))
             else:
                 symbol, d = label
-                for q in sorted(spec.step(slots[d], symbol), key=repr):
+                for q in sorted(table.after((slots[d],), symbol)):
                     nxt = (dst, slots[:d] + (q,) + slots[d + 1:], guesses)
                     transitions.append((src, label, visit(nxt)))
 

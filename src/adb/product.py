@@ -3,14 +3,15 @@ breadth-first search that decides every regular-spec question.
 
 A state is ``(loc, current, pending)``: the set of eps-free spec states
 reached on the letters of the closed time slots and of the current slot so
-far, and one spec relation ``{(p, q)}`` per future slot ``clock+1 ..
-clock+M`` (M being the largest delay) for the letters queued there.  A
-delay-0 output steps ``current``; delay d > 0 composes slot d's relation
-with the letter.  A tick maps ``current`` through the first relation,
-shifts the rest down and opens the newest slot with the identity.  At an
-accepting location the pending slots flush, so the spec states the run's
-untimed output reaches are ``current`` composed with every relation.
-Edges into locations that cannot reach an accepting one are never taken.
+far, and one spec relation ``{(p, q)}`` per future slot ``clock+1, ...``
+for the letters queued there, ending at the last relation that is not the
+identity: the later slots, up to ``clock+M`` (M the largest delay), hold
+the identity.  A delay-0 output steps ``current``; delay d > 0 composes
+slot d's relation with the letter.  A tick maps ``current`` through the
+first relation and shifts the rest down.  At an accepting location the
+pending slots flush, so the spec states the run's untimed output reaches
+are ``current`` composed with every relation.  Edges into locations that
+cannot reach an accepting one are never taken.
 
 Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
 a set is a frozenset of ints and a relation a frozenset of int pairs.  The
@@ -85,7 +86,7 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
             current = image(current, relation)
         return bool(current & spec_final) == hit
 
-    start = (adb.start, frozenset({table.start}), (identity,) * adb.max_delay)
+    start = (adb.start, frozenset({table.start}), ())
     parent = {start: None}
     if cap <= 1:  # with the fresh start state, past the cap
         raise BoundExceeded(cap)
@@ -102,7 +103,7 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
             if label is TICK:
                 if pend:
                     cur = image(cur, pend[0])
-                    pend = pend[1:] + (identity,)
+                    pend = pend[1:]
             elif label is not EPS:
                 symbol, d = label
                 if d == 0:
@@ -111,10 +112,16 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
                     if cur is None:
                         cur = memo[current] = after(current, symbol)
                 else:
-                    relation = compose(pend[d - 1], symbol)
+                    k = len(pend)
+                    relation = compose(pend[d - 1] if d <= k else identity, symbol)
                     if hit and not relation:
                         continue  # the image is empty from here on
-                    pend = pend[:d - 1] + (relation,) + pend[d:]
+                    # slots past the last relation hold the identity
+                    if d <= k or relation != identity:
+                        pend = (pend[:d - 1] + (identity,) * (d - 1 - k)
+                                + (relation,) + pend[d:])
+                        while pend and pend[-1] == identity:
+                            pend = pend[:-1]
             if hit and not cur:
                 continue
             nxt = (dst, cur, pend)

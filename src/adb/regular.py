@@ -85,9 +85,10 @@ def eps_closure(nfa: Nfa, states: Iterable) -> frozenset:
 
 
 class SpecTable:
-    """An NFA prepared for the relation product: its states are numbered
-    ``0 .. n-1`` in ``names`` order and its eps transitions are folded into
-    the letter steps, as :func:`eliminate_eps` folds them.
+    """An NFA prepared for both intersection products: its states are
+    numbered ``0 .. n-1`` in ``names`` order, sorted by ``repr``, and its eps
+    transitions are folded into the letter steps, as :func:`eliminate_eps`
+    folds them.
 
     A set of spec states is a frozenset of state numbers and a relation a
     frozenset of number pairs.  ``compose`` is memoized per (relation,
@@ -95,7 +96,7 @@ class SpecTable:
     result object."""
 
     def __init__(self, nfa: Nfa):
-        self.names = tuple(nfa.states)
+        self.names = tuple(sorted(nfa.states, key=repr))
         n = len(self.names)
         index = {s: i for i, s in enumerate(self.names)}
         # Bitmasks per state, for acceptance and for each letter the states

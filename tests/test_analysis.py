@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from adb import (
     InternalVerificationFailure,
     TICK,
     Out,
+    Run,
     UnknownSymbol,
     Verdict,
     brute_member_timed,
@@ -71,6 +73,40 @@ def test_shortest_run_nontrivial():
     )
     run = shortest_accepting_run(auto)
     assert run.locations() == ("l0", "l1", "l2")
+
+
+def reference_shortest_accepting_run(auto):
+    """BFS over locations with a back-trace: the reference for the relation
+    product's emptiness search."""
+    parent = {auto.start: None}
+    queue = deque([auto.start])
+    goal = auto.start if auto.start in auto.accepting else None
+    while goal is None and queue:
+        loc = queue.popleft()
+        for label, dst in auto.edges_from(loc):
+            if dst in parent:
+                continue
+            parent[dst] = (loc, label)
+            queue.append(dst)
+            if dst in auto.accepting:
+                goal = dst
+                break
+    if goal is None:
+        return None
+    steps = []
+    loc = goal
+    while parent[loc] is not None:
+        prev, label = parent[loc]
+        steps.append((label, loc))
+        loc = prev
+    steps.reverse()
+    return Run(auto.start, tuple(steps))
+
+
+@settings(max_examples=500, deadline=None)
+@given(adbs())
+def test_shortest_accepting_run_matches_reference(auto):
+    assert shortest_accepting_run(auto) == reference_shortest_accepting_run(auto)
 
 
 def test_member_timed_positive(a1):

@@ -51,6 +51,16 @@ def test_validate_missing_file(capsys):
     assert "error" in err
 
 
+def test_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.adb"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (("validate", path), ("member", path, "--untimed", "a")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s: " % path)
+        assert err.count("\n") == 1
+
+
 def test_empty_verdicts(capsys):
     code, out, _ = run(capsys, "empty", EXAMPLES / "a1.adb")
     assert code == 0
@@ -320,6 +330,7 @@ def cycle_spec(tmp_path, k):
     (("member", "a1.adb", "--timed", "a@"), {}, 2),
     (("member", "a1.adb", "--untimed", "a b c"), {"ADB_MAX_STATES": "1"}, 3),
     (("--help",), {}, 0),
+    (("empty", "a1.adb"), {"ADB_MAX_STATES": "1"}, 0),
 ])
 def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
     # the process ends through cli.run, which skips the interpreter's
@@ -330,6 +341,40 @@ def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
     expected = run(capsys, *argv)
     assert expected[0] == want
     assert run_process(*argv, env=env) == expected
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    # a delay of 10^11 makes untimed member and construct star build tuples
+    # and lists with 10^11 entries; each process runs under a 400 MB
+    # address-space limit
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    path = tmp_path / "far.adb"
+    path.write_text("alphabet a\nlocations l0 l1\nstart l0\naccept l1\n"
+                    "trans l0 l1 out a 100000000000\n")
+    src = str(EXAMPLES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def adb(*argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "adb.cli"] + [str(a) for a in argv],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit)
+        return result.returncode, result.stdout, result.stderr
+
+    for argv in (("member", path, "--untimed", "a"), ("construct", "star", path)):
+        assert adb(*argv) == (3, "", "error: out of memory\n")
+    # the relation product leaves slots that hold the identity relation out
+    # of its states, so a spec that relates every state to itself after
+    # every letter needs no slot for the delay
+    assert adb("empty", path) == (0, "NONEMPTY\nwitness run: l0 l1\n"
+                                  "witness word: a@100000000000\n", "")
+    assert adb("modelcheck", path, "--spec", EXAMPLES / "sigma-star.nfa") == (
+        0, "HOLDS\n", "")
 
 
 def test_process_prints_long_output(tmp_path, capsys):

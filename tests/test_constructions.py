@@ -13,11 +13,14 @@ from adb import (
     language_sample,
     lift_regular,
     nfa_member,
+    print_adb,
     run_output,
     star,
     union,
     untime,
     untimed_sample,
+    validate_adb,
+    validate_nfa,
 )
 
 
@@ -154,3 +157,28 @@ def test_intersection_untimed_equality(a1, aabbcc):
     got = untimed_sample(prod, 60)
     want = {u for u in untimed_sample(a1, 12) if u == ("a", "a", "b", "b", "c", "c")}
     assert got == want
+
+
+def test_intersect_regular_names_spec_states_in_repr_order():
+    # a spec state that is not a string is named r<i>, i its place in repr
+    # order: 0, 10, 2, so r1 is state 10, the one "a" reaches
+    auto = validate_adb(["l0", "l1"], ["a", "b"], "l0", ["l1"],
+                        [("l0", Out("a", 1), "l1"), ("l1", TICK, "l1")])
+    spec = validate_nfa([0, 2, 10], ["a", "b"], 0, [10],
+                        [(0, "a", 10), (10, "b", 2)])
+    assert print_adb(intersect_regular(auto, spec)) == """\
+alphabet a b
+locations $init l0|r0,r0|r0 l0|r0,r1|r1 l0|r0,r2|r2 l1|r0,r1|r0 l1|r1,r0|r0 l1|r1,r1|r1 l1|r1,r2|r2
+start $init
+accept l1|r0,r1|r0 l1|r1,r1|r1
+trans $init l0|r0,r0|r0 eps
+trans $init l0|r0,r1|r1 eps
+trans $init l0|r0,r2|r2 eps
+trans l0|r0,r0|r0 l1|r0,r1|r0 out a 1
+trans l1|r0,r1|r0 l1|r1,r0|r0 tick
+trans l1|r0,r1|r0 l1|r1,r1|r1 tick
+trans l1|r0,r1|r0 l1|r1,r2|r2 tick
+trans l1|r1,r1|r1 l1|r1,r0|r0 tick
+trans l1|r1,r1|r1 l1|r1,r1|r1 tick
+trans l1|r1,r1|r1 l1|r1,r2|r2 tick
+"""
