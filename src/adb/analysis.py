@@ -4,7 +4,6 @@ verified counterexamples."""
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -34,11 +33,11 @@ def shortest_accepting_run(adb: Adb) -> Optional[Run]:
     """A shortest path from the start to an accepting location, as a run
     (``None`` when no accepting location is reachable): the relation
     product's search with a one-state spec that accepts every word.  Each
-    location then has one product state, so the search never reaches a cap
-    of one more than the locations, and ``ADB_MAX_STATES`` does not apply."""
+    location then has one product state, so the search never passes a cap
+    of the locations, and ``ADB_MAX_STATES`` does not apply."""
     every_word = Nfa(frozenset({0}), adb.alphabet, 0, frozenset({0}),
                      frozenset((0, symbol, 0) for symbol in adb.alphabet))
-    path, _ = search_accepting(adb, every_word, True, len(adb.locations) + 1)
+    path, _ = search_accepting(adb, every_word, True, len(adb.locations))
     return None if path is None else Run(adb.start, path)
 
 
@@ -77,19 +76,19 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
             raise UnknownSymbol(sym)
     m = adb.max_delay
     t_end = w[-1][1] if w else -1
+    # each stamped slot's letters, then None, read by an output once full
     slots = {
-        t: tuple(sym for sym, _ in letters)
+        t: tuple(sym for sym, _ in letters) + (None,)
         for t, letters in groupby(w, itemgetter(1))
     }
-    b = max(map(len, slots.values()), default=0) + 1
+    b = max(map(len, slots.values()), default=1)
     power = [b**d for d in range(m + 1)]
 
     accepting, edges_from = adb.accepting, adb.edges_from
     clock, found = 0, 1
     seen = {(adb.start, 0): None}
     while True:
-        # each open slot's letters, then None, read by an output once full
-        window = [slots.get(clock + d, ()) + (None,) for d in range(m + 1)]
+        window = [slots.get(clock + d, (None,)) for d in range(m + 1)]
         size = len(window[0]) - 1
         full = None
         if clock + m >= t_end:
@@ -97,9 +96,8 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
         # the next clock's states; past the final stamp a tick keeps the clock
         last = clock > t_end
         ticked = seen if last else {}
-        queue = deque(seen)
-        while queue:
-            loc, counts = queue.popleft()
+        frontier = list(seen)
+        for loc, counts in frontier:
             if loc in accepting and counts == full:
                 return True
             for label, dst in edges_from(loc):
@@ -121,7 +119,7 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
                     if found > cap:
                         raise BoundExceeded(cap)
                     if into is seen:
-                        queue.append(state)
+                        frontier.append(state)
         if last or not ticked:
             return False
         clock, seen = clock + 1, ticked

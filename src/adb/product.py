@@ -69,8 +69,8 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
     Returns ``(path, visited_count)``: a shortest accepting path as a tuple
     of ``(label, location)`` steps out of the start, the steps of a
     :class:`~adb.automaton.Run` (``None`` when there is none), and the
-    number of states reached plus one fresh start state, as the explicit
-    construction counts its ``$init`` location.
+    number of states reached.  Raises ``BoundExceeded`` once the search
+    would hold more than ``cap`` states.
     """
     check_alphabet(adb, spec)
     if cap is None:
@@ -88,8 +88,6 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
 
     start = (adb.start, frozenset({table.start}), ())
     parent = {start: None}
-    if cap <= 1:  # with the fresh start state, past the cap
-        raise BoundExceeded(cap)
     goal = start if start[0] in final and accepts(*start[1:]) else None
     frontier = [start]
     for ps in frontier:
@@ -128,17 +126,17 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
             if nxt in parent:
                 continue
             parent[nxt] = (ps, label)
-            if len(parent) >= cap:
+            if len(parent) > cap:
                 raise BoundExceeded(cap)
             frontier.append(nxt)
             if dst in final and accepts(cur, pend):
                 goal = nxt
                 break
     if goal is None:
-        return None, len(parent) + 1
+        return None, len(parent)
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
         path.append((label, goal[0]))
         goal = prev
-    return tuple(reversed(path)), len(parent) + 1
+    return tuple(reversed(path)), len(parent)

@@ -279,6 +279,25 @@ def test_model_check_fails_with_verified_counterexample(a1, bac_blocks):
     assert is_accepting_run(a1, verdict.witness_run)
 
 
+def test_model_check_rejects_a_counterexample_that_fails_verification(
+        a1, bac_blocks, monkeypatch):
+    import adb.analysis
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adb.analysis, "nfa_member", lambda spec, u: True)
+        with pytest.raises(InternalVerificationFailure):
+            model_check(a1, bac_blocks)
+    # words the spec rejects, on a step a1 has no edge for and on a run that
+    # stops at a rejecting location
+    a, b, c = Out("a", 0), Out("b", 1), Out("c", 2)
+    for path in (((a, "l1"), (b, "l2"), (c, "l1")), ((a, "l1"), (b, "l2"))):
+        with monkeypatch.context() as patch:
+            patch.setattr(adb.analysis, "search_accepting",
+                          lambda *args, path=path: (path, 1))
+            with pytest.raises(InternalVerificationFailure):
+                model_check(a1, bac_blocks)
+
+
 def test_model_check_lifted_spec_against_itself(abc_blocks, bac_blocks, astar_b):
     for spec in (abc_blocks, bac_blocks, astar_b):
         assert model_check(lift_regular(spec), spec).holds

@@ -168,6 +168,21 @@ def test_construct_intersect_nonempty(tmp_path, capsys):
     assert out.splitlines()[0] == "NONEMPTY"
 
 
+def test_construct_intersect_capped(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "prod.adb"
+    argv = ("construct", "intersect", EXAMPLES / "a1.adb",
+            "--spec", EXAMPLES / "astar-bstar-cstar.nfa", "--out", out_path)
+    monkeypatch.setenv("ADB_MAX_STATES", "20")
+    assert run(capsys, *argv) == (3, "", "error: exceeded cap of 20\n")
+    assert not out_path.exists()
+
+
+def test_construct_intersect_needs_spec(capsys):
+    code, out, err = run(capsys, "construct", "intersect", EXAMPLES / "a1.adb")
+    assert (code, out) == (2, "")
+    assert err == "error: construct intersect needs --spec\n"
+
+
 def test_construct_union_and_lift(tmp_path, capsys):
     code, _, _ = run(
         capsys, "construct", "union", EXAMPLES / "a1.adb", EXAMPLES / "a3.adb",

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from adb import (
     EPS,
     TICK,
+    BoundExceeded,
     IncompatibleAlphabet,
     Out,
     concat,
@@ -22,30 +24,36 @@ from adb import (
     validate_adb,
     validate_nfa,
 )
+from conftest import adbs
+
+
+def shortest_runs(auto, budget):
+    """Each untimed output of an accepting run within the budget, with the
+    fewest transitions a run needs for it."""
+    best = {}
+    for r in enumerate_accepting_runs(auto, budget):
+        u = untime(run_output(auto, r))
+        best[u] = min(best.get(u, budget), len(r))
+    return best
 
 
 def untimed_pairs(auto1, auto2, budget, overhead):
     """Expected untimed concatenations from run pairs whose combined cost
     (transitions plus bridge overhead) fits the budget."""
-    runs1 = list(enumerate_accepting_runs(auto1, budget))
-    runs2 = list(enumerate_accepting_runs(auto2, budget))
-    out = set()
-    for r1 in runs1:
-        for r2 in runs2:
-            if len(r1) + len(r2) + overhead <= budget:
-                u1 = untime(run_output(auto1, r1))
-                u2 = untime(run_output(auto2, r2))
-                out.add(u1 + u2)
-    return out
+    runs1 = shortest_runs(auto1, budget)
+    runs2 = shortest_runs(auto2, budget)
+    return {
+        u1 + u2
+        for u1, n1 in runs1.items()
+        for u2, n2 in runs2.items()
+        if n1 + n2 + overhead <= budget
+    }
 
 
 def untimed_star_words(auto, budget, per_iteration):
     """Expected untimed star sample: concatenations of accepting-run outputs
     whose per-iteration costs sum within the budget."""
-    runs = [
-        (len(r) + per_iteration, untime(run_output(auto, r)))
-        for r in enumerate_accepting_runs(auto, budget)
-    ]
+    runs = [(n + per_iteration, u) for u, n in shortest_runs(auto, budget).items()]
     best = {(): 0}
     frontier = [((), 0)]
     while frontier:
@@ -100,6 +108,31 @@ def test_star_sample_equality(a1, a3):
             assert untimed_sample(s, budget) == expected
 
 
+# The laws above on random automata, at a transition bound of 6: a union
+# pays one eps step in, a concatenation a flush chain of max-delay ticks and
+# one eps, and a star iteration the flush chain and one eps, or two eps steps
+# when the largest delay is 0.
+
+
+@settings(max_examples=150, deadline=None)
+@given(adbs(), adbs())
+def test_union_sample_law(a, b):
+    assert untimed_sample(union(a, b), 7) == untimed_sample(a, 6) | untimed_sample(b, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adbs(), adbs())
+def test_concat_sample_law(a, b):
+    assert untimed_sample(concat(a, b), 6) == untimed_pairs(a, b, 6, a.max_delay + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adbs())
+def test_star_sample_law(a):
+    per_iteration = max(a.max_delay, 1) + 1
+    assert untimed_sample(star(a), 6) == untimed_star_words(a, 6, per_iteration)
+
+
 def test_star_zero_delay_uses_eps():
     from adb import validate_adb
 
@@ -144,6 +177,13 @@ def test_intersect_regular_size_bound(a1, abc_blocks):
     n_r = len(abc_blocks.states)
     m = a1.max_delay
     assert len(prod.locations) <= 1 + n_a * n_r ** (2 * m + 1)
+
+
+def test_intersect_regular_cap(a1, abc_blocks):
+    # the product of a1 with a*b*c* has 39 locations, $init included
+    with pytest.raises(BoundExceeded):
+        intersect_regular(a1, abc_blocks, cap=38)
+    assert len(intersect_regular(a1, abc_blocks, cap=39).locations) == 39
 
 
 def test_intersect_regular_rejects_missing_symbols(a3, abc_blocks):

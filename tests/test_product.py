@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adb import EPS, TICK, BoundExceeded, Out, single_word_nfa, validate_adb
+from adb import (EPS, TICK, BoundExceeded, Out, single_word_nfa, validate_adb,
+                 validate_nfa)
 from adb.product import check_alphabet, search_accepting
 from adb.regular import SpecTable
 from conftest import SYMBOLS, adbs, load_adb, load_nfa, nfas
@@ -71,7 +72,7 @@ def reference_search(auto, spec, hit, cap):
     def reached(ps, step):
         parent[ps] = step
         frontier.append(ps)
-        if len(parent) >= cap:
+        if len(parent) > cap:
             raise BoundExceeded(cap)
         return is_accepting(auto, table, hit, ps)
 
@@ -86,13 +87,13 @@ def reference_search(auto, spec, hit, cap):
                 goal = nxt
                 break
     if goal is None:
-        return None, len(parent) + 1
+        return None, len(parent)
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
         path.append((label, goal[0]))
         goal = prev
-    return tuple(reversed(path)), len(parent) + 1
+    return tuple(reversed(path)), len(parent)
 
 
 def outcome(search, auto, spec, hit, cap):
@@ -115,7 +116,8 @@ def test_search_matches_reference(auto, spec, hit, cap):
 
 
 def test_search_matches_reference_at_the_cap():
-    # the a1 ladder with delays (0, 2, 4) against a*b*c*: 7 states searched
+    # the a1 ladder with delays (0, 2, 4) against a*b*c*: 1 state searched
+    # for intersection, 19 for containment
     auto = validate_adb(["l0", "l1", "l2"], ["a", "b", "c"], "l0", ["l0"], [
         ("l0", Out("a", 0), "l1"), ("l1", Out("b", 2), "l2"),
         ("l2", Out("c", 4), "l0"), ("l0", TICK, "l0"),
@@ -149,3 +151,23 @@ def test_search_steps_each_letter_apart():
         want = outcome(reference_search, auto, spec, hit, 10**6)
         assert outcome(search_accepting, auto, spec, hit, 10**6) == want
         assert want[0] == ((Out("b", 0),) if hit else (Out("a", 0),))
+
+
+def test_search_trims_a_pending_identity():
+    # the second a/1 composes the swap relation back to the identity, which
+    # the search drops from the end of the pending tuple
+    auto = validate_adb(["l0", "l1", "l2"], ["a"], "l0", ["l2"], [
+        ("l0", Out("a", 1), "l1"), ("l1", Out("a", 1), "l2"),
+        ("l2", TICK, "l2"),
+    ])
+    spec = validate_nfa(["s0", "s1"], ["a"], "s0", ["s0"],
+                        [("s0", "a", "s1"), ("s1", "a", "s0")])
+    for hit in (True, False):
+        _, count = reference_search(auto, spec, hit, 10**6)
+        for cap in range(1, count + 2):
+            want = outcome(reference_search, auto, spec, hit, cap)
+            assert outcome(search_accepting, auto, spec, hit, cap) == want
+            assert (want[0] == "BoundExceeded") == (cap < count)
+    assert outcome(search_accepting, auto, spec, True, 10**6)[0] == (
+        Out("a", 1), Out("a", 1))
+    assert outcome(search_accepting, auto, spec, False, 10**6)[0] is None
