@@ -16,7 +16,7 @@ from .errors import (
     UnknownLocation,
     UnknownSymbol,
 )
-from .product import search_accepting, state_cap
+from .product import DEFAULT_STATE_CAP, search_accepting
 from .regular import Nfa, nfa_member, single_word_nfa
 from .words import (
     EPS,
@@ -30,11 +30,10 @@ from .words import (
 
 
 def shortest_accepting_run(adb: Adb) -> Optional[Run]:
-    """A shortest path from the start to an accepting location, as a run
-    (``None`` when no accepting location is reachable): the relation
-    product's search with a one-state spec that accepts every word.  Each
-    location then has one product state, so the search never passes a cap
-    of the locations, and ``ADB_MAX_STATES`` does not apply."""
+    """A shortest path from the start to an accepting location, as a run, or
+    ``None``: the relation product's search with a one-state spec that
+    accepts every word.  Each location then has one product state, so the
+    search never passes a cap of the locations."""
     every_word = Nfa(frozenset({0}), adb.alphabet, 0, frozenset({0}),
                      frozenset((0, symbol, 0) for symbol in adb.alphabet))
     path, _ = search_accepting(adb, every_word, True, len(adb.locations))
@@ -50,16 +49,17 @@ def is_empty(adb: Adb) -> bool:
 # timed membership
 
 
-def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
+def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Timed-word membership by breadth-first search, one clock at a time.
 
     At clock ``c`` (the ticks taken) a state is ``(loc, counts)``: an
-    automaton location and ``M+1`` consumption counts, one per open time slot
-    ``c .. c+M`` (M being the largest delay), packed into one int in base
-    ``b``, one more than the most letters any slot holds, with digit ``i``
-    for slot ``c+i``.  Memory follows the word and one clock's states.
+    automaton location and ``m+1`` consumption counts, one per open time slot
+    ``c .. c+m``, packed into one int in base ``b``, one more than the most
+    letters any slot holds, with digit ``i`` for slot ``c+i``.  Here m is the
+    largest delay, or the final timestamp if that is smaller: a longer delay
+    lands past the word.  Memory follows the word and one clock's states.
 
-    An output with delay d must match the next unconsumed letter of slot
+    An output with delay d <= m must match the next unconsumed letter of slot
     ``c+d`` (digit d), and adds ``b**d``; it and eps keep the clock.  A tick
     needs slot ``c`` to be full (digit 0), then floor-divides by ``b`` to
     shift the window, passing its state to clock ``c+1``.  One past the final
@@ -68,14 +68,12 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     is accepting, the window reaches the final timestamp and every slot in it
     is full: the outputs still pending then surface exactly as the word's
     remaining letters.  The empty word needs no special case."""
-    if cap is None:
-        cap = state_cap()
     w = validate_timed_word(w)
     for sym, _ in w:
         if sym not in adb.alphabet:
             raise UnknownSymbol(sym)
-    m = adb.max_delay
     t_end = w[-1][1] if w else -1
+    m = min(adb.max_delay, max(t_end, 0))
     # each stamped slot's letters, then None, read by an output once full
     slots = {
         t: tuple(sym for sym, _ in letters) + (None,)
@@ -110,7 +108,7 @@ def member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
                     state, into = (dst, counts // b), ticked
                 else:
                     sym, d = label
-                    if window[d][counts // power[d] % b] != sym:
+                    if d > m or window[d][counts // power[d] % b] != sym:
                         continue
                     state = (dst, counts + power[d])
                 if state not in into:
@@ -148,7 +146,7 @@ def _search(adb: Adb, spec: Nfa, hit: bool, cap) -> Optional[IntersectionWitness
 
 
 def intersect_regular_empty(
-    adb: Adb, spec: Nfa, cap=None
+    adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP
 ) -> Optional[IntersectionWitness]:
     """``None`` when the automaton's untimed language is disjoint from the
     spec NFA's language; otherwise a witness word from a shortest accepting
@@ -156,7 +154,7 @@ def intersect_regular_empty(
     return _search(adb, spec, True, cap)
 
 
-def member_untimed(adb: Adb, u: UntimedWord, cap=None) -> bool:
+def member_untimed(adb: Adb, u: UntimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Untimed membership via intersection with a single-word NFA."""
     return _search(adb, single_word_nfa(u, adb.alphabet), True, cap) is not None
 
@@ -167,7 +165,7 @@ class Verdict(NamedTuple):
     witness_run: Optional[Run] = None
 
 
-def model_check(adb: Adb, spec: Nfa, cap=None) -> Verdict:
+def model_check(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Verdict:
     """Decide containment of the automaton's untimed language in the spec
     NFA's language by searching for an accepting run whose output the spec
     rejects.  A counterexample is re-verified before it is returned: its run

@@ -1,7 +1,8 @@
 """The ``adb`` command line front end.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
-3 resource bound exceeded (the state cap or memory).  Results go to stdout, diagnostics to stderr.
+3 bound exceeded (the state cap ``ADB_MAX_STATES`` or memory).  Results go
+to stdout, diagnostics to stderr.  Only :func:`_cap` reads the environment.
 
 A canonical command line is parsed straight from :data:`COMMANDS`; any
 other line, including ``--help`` and every usage error, goes to the
@@ -59,6 +60,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _cap() -> int:
+    """Every search's state cap: ``ADB_MAX_STATES``, else the library's."""
+    from .product import DEFAULT_STATE_CAP
+
+    return int(os.environ.get("ADB_MAX_STATES", DEFAULT_STATE_CAP))
+
+
 def cmd_validate(args) -> int:
     from .automaton import Adb
     from .textio import parse_automaton
@@ -100,9 +108,10 @@ def cmd_member(args) -> int:
 
     auto = _load(args.path, parse_adb)
     if args.timed is not None:
-        verdict = analysis.member_timed(auto, parse_timed_word(args.timed))
+        verdict = analysis.member_timed(auto, parse_timed_word(args.timed), _cap())
     else:
-        verdict = analysis.member_untimed(auto, parse_untimed_word(args.untimed))
+        verdict = analysis.member_untimed(
+            auto, parse_untimed_word(args.untimed), _cap())
     print("MEMBER" if verdict else "NOT MEMBER")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -113,7 +122,7 @@ def cmd_modelcheck(args) -> int:
     from .words import format_untimed_word
 
     auto = _load(args.path, parse_adb)
-    verdict = analysis.model_check(auto, _load(args.spec, parse_nfa))
+    verdict = analysis.model_check(auto, _load(args.spec, parse_nfa), _cap())
     if verdict.holds:
         print("HOLDS")
         return EXIT_OK
@@ -140,7 +149,7 @@ def cmd_construct(args) -> int:
         if args.spec is None:
             raise CliError("construct intersect needs --spec")
         result = constructions.intersect_regular(
-            _load(args.inputs[0], parse_adb), _load(args.spec, parse_nfa)
+            _load(args.inputs[0], parse_adb), _load(args.spec, parse_nfa), _cap()
         )
     else:
         build = constructions.union if args.op == "union" else constructions.concat
@@ -171,11 +180,8 @@ def cmd_enumerate(args) -> int:
         sample, fmt = oracle.untimed_sample, format_untimed_word
     else:
         sample, fmt = oracle.language_sample, format_timed_word
-    lines = sorted(
-        map(fmt, sample(auto, args.max_transitions)),
-        key=lambda s: (len(s.split()), s.split()),
-    )
-    for line in lines:
+    lines = map(fmt, sample(auto, args.max_transitions, _cap()))
+    for line in sorted(lines, key=lambda s: (len(s.split()), s.split())):
         print(line)
     return EXIT_OK
 
@@ -193,7 +199,7 @@ def cmd_oracle_member(args) -> int:
     from .words import parse_timed_word
 
     auto = _load(args.path, parse_adb)
-    verdict = oracle.brute_member_timed(auto, parse_timed_word(args.timed))
+    verdict = oracle.brute_member_timed(auto, parse_timed_word(args.timed), _cap())
     print("MEMBER" if verdict else "NOT MEMBER")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 

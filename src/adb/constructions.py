@@ -19,7 +19,7 @@ import itertools
 
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
-from .product import check_alphabet, state_cap
+from .product import DEFAULT_STATE_CAP, check_alphabet
 from .regular import Nfa, SpecTable
 from .words import EPS, TICK, Out
 
@@ -119,7 +119,7 @@ def star(adb: Adb) -> Adb:
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
 
 
-def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
+def intersect_regular(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Adb:
     """The explicit intersection product automaton.
 
     A product location is ``(loc, slots, guesses)``: the automaton location,
@@ -133,8 +133,6 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=None) -> Adb:
     The untimed language of the result is the intersection of the
     automaton's untimed language with the spec NFA's language.
     """
-    if cap is None:
-        cap = state_cap()
     check_alphabet(adb, spec)
     table = SpecTable(spec)
     m = adb.max_delay

@@ -9,17 +9,15 @@ from typing import Iterator, NamedTuple, Set, Tuple
 
 from .automaton import Adb, Run, is_accepting_run, run_output
 from .errors import BoundExceeded, DecreasingTimestamp, UnknownSymbol, WindowTooShort
-from .product import state_cap
+from .product import DEFAULT_STATE_CAP
 from .words import EPS, Out, TimedWord, rep, validate_timed_word
 
 
 def enumerate_accepting_runs(
-    adb: Adb, max_transitions: int, cap=None
+    adb: Adb, max_transitions: int, cap=DEFAULT_STATE_CAP
 ) -> Iterator[Run]:
     """All accepting runs with at most ``max_transitions`` transitions, in
     depth-first order.  Raises ``BoundExceeded`` past the path cap."""
-    if cap is None:
-        cap = state_cap()
     count = 0
     stack = [(adb.start, ())]
     while stack:
@@ -34,7 +32,8 @@ def enumerate_accepting_runs(
                 stack.append((dst, steps + ((label, dst),)))
 
 
-def language_sample(adb: Adb, max_transitions: int, cap=None) -> Set[TimedWord]:
+def language_sample(adb: Adb, max_transitions: int,
+                    cap=DEFAULT_STATE_CAP) -> Set[TimedWord]:
     """Timed words generated by runs of at most ``max_transitions``
     transitions; a finite under-approximation of the output language."""
     return {
@@ -43,11 +42,12 @@ def language_sample(adb: Adb, max_transitions: int, cap=None) -> Set[TimedWord]:
     }
 
 
-def untimed_sample(adb: Adb, max_transitions: int, cap=None) -> Set[Tuple[str, ...]]:
+def untimed_sample(adb: Adb, max_transitions: int,
+                   cap=DEFAULT_STATE_CAP) -> Set[Tuple[str, ...]]:
     return {tuple(s for s, _ in w) for w in language_sample(adb, max_transitions, cap)}
 
 
-def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
+def brute_member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Timed membership by exhaustive run search.
 
     A search state is (location, ticks taken, consumption counts, one per
@@ -56,8 +56,6 @@ def brute_member_timed(adb: Adb, w: TimedWord, cap=None) -> bool:
     collapsed, which keeps the state space finite even across eps/tick
     cycles.  Accept whenever an accepting location is reached with the whole
     word consumed."""
-    if cap is None:
-        cap = state_cap()
     w = validate_timed_word(w)
     for sym, _ in w:
         if sym not in adb.alphabet:

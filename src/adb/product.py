@@ -22,18 +22,12 @@ and equal sets are shared objects, which compare by identity.
 
 from __future__ import annotations
 
-import os
-
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
 from .regular import Nfa, SpecTable
 from .words import EPS, TICK
 
 DEFAULT_STATE_CAP = 10**6
-
-
-def state_cap() -> int:
-    return int(os.environ.get("ADB_MAX_STATES", DEFAULT_STATE_CAP))
 
 
 def check_alphabet(adb: Adb, spec: Nfa) -> None:
@@ -61,7 +55,7 @@ def _live(adb: Adb) -> set:
     return live
 
 
-def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
+def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CAP):
     """BFS for an accepting product state.  With ``hit`` a state accepts
     when the output can end in an accepting spec state (intersection,
     membership); without, when it cannot (a counterexample to containment).
@@ -73,8 +67,6 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=None):
     would hold more than ``cap`` states.
     """
     check_alphabet(adb, spec)
-    if cap is None:
-        cap = state_cap()
     table, live = SpecTable(spec), _live(adb)
     edges_from, final = adb.edges_from, adb.accepting
     identity, after = table.identity, table.after

@@ -9,6 +9,13 @@ EXAMPLES = Path(__file__).parents[1] / "examples"
 SYMBOLS = ("a", "b")
 
 
+@pytest.fixture(autouse=True)
+def unset_max_states(monkeypatch):
+    """Every test starts under the default state cap, whatever the shell
+    exports; a test that wants another cap sets ``ADB_MAX_STATES`` itself."""
+    monkeypatch.delenv("ADB_MAX_STATES", raising=False)
+
+
 @st.composite
 def adbs(draw):
     """Small random automata over ``SYMBOLS`` with ticks, eps and delays."""

@@ -127,6 +127,16 @@ def test_member_timed_negative(a1):
             decide(a1, (("z", 0),))
 
 
+def test_member_timed_window_follows_the_word():
+    # a delay of 10^11 lands past the final stamp of each word, so the window
+    # holds one slot, not 10^11 + 1
+    far = validate_adb(["l0", "l1"], ["a"], "l0", ["l1"],
+                       [("l0", Out("a", 10**11), "l1")])
+    words = [(("a", 0),), ()]
+    verdicts = [member_timed(far, w) for w in words]
+    assert verdicts == [brute_member_timed(far, w) for w in words] == [False, False]
+
+
 def test_member_timed_memory_follows_neither_cap_nor_horizon(a1):
     # only the word and the states of one clock (and the next) are held:
     # a far stamp under a large cap, and an idle tick loop that runs clock

@@ -8,6 +8,7 @@ from adb import (
     IntersectionWitness,
     InvalidStep,
     InvalidSymbol,
+    MissingStart,
     Nfa,
     Out,
     PumpDecomposition,
@@ -42,6 +43,10 @@ def test_validate_adb_invariants():
 
     with pytest.raises(DuplicateLocation):
         validate_adb(["l0", "l0"], ["a"], "l0", [], [])
+    with pytest.raises(UnknownLocation):
+        validate_adb(["l 0"], ["a"], "l 0", [], [])
+    with pytest.raises(MissingStart):
+        validate_adb(["l0"], ["a"], "", [], [])
     with pytest.raises(ReservedSymbol):
         validate_adb(["l0"], ["tick"], "l0", [], [])
     with pytest.raises(ReservedSymbol):
@@ -52,8 +57,12 @@ def test_validate_adb_invariants():
         validate_adb(["l0"], ["a"], "l0", ["lx"], [])
     with pytest.raises(UnknownLocation):
         validate_adb(["l0"], ["a"], "l0", [], [("l0", EPS, "lx")])
+    with pytest.raises(UnknownLocation):
+        validate_adb(["l0"], ["a"], "l0", [], [("lx", EPS, "l0")])
     with pytest.raises(InvalidSymbol):
         validate_adb(["l0"], ["a"], "l0", [], [("l0", Out("z", 0), "l0")])
+    with pytest.raises(InvalidStep):
+        validate_adb(["l0"], ["a"], "l0", [], [("l0", "tick", "l0")])
 
 
 def test_max_delay_defaults_to_zero():
@@ -88,6 +97,8 @@ def test_check_run_rejects_bad_steps():
     assert info.value.index == 0
     with pytest.raises(InvalidStep):
         check_run(auto, Run("l0", ((Out("a", 1), "l1"), (TICK, "l0"))))
+    with pytest.raises(UnknownLocation):
+        check_run(auto, Run("lx"))
 
 
 def test_run_output_goes_through_oword(a1):
@@ -108,6 +119,9 @@ def test_reg_view_keeps_eps_and_tick(a2):
     view = reg_view(a2)
     assert nfa_member(view, ["tick", "tick"])
     assert not nfa_member(view, ["tick"])
+    view = reg_view(validate_adb(["l0", "l1"], ["a"], "l0", ["l1"], [("l0", EPS, "l1")]))
+    assert ("l0", None, "l1") in view.transitions
+    assert nfa_member(view, [])
 
 
 STEP = (Out("a", 1), "l0")

@@ -45,6 +45,20 @@ def test_validate_malformed(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, transition, message", [
+    ("f.adb", "trans l0 l9 eps", "unknown location: 'l9'"),
+    ("f.nfa", "trans s9 s0 on a", "unknown location: 's9'"),
+    ("f.adb", "trans l0 l0 jump", "line 5: malformed transition"),
+    ("f.adb", "trans l0 l1 out a% 1", "line 5: invalid symbol: 'a%'"),
+])
+def test_validate_names_the_bad_line(tmp_path, capsys, name, transition, message):
+    head = ("locations l0 l1\nstart l0\naccept l1" if name.endswith(".adb")
+            else "states s0 s1\nstart s0\naccept s1")
+    path = tmp_path / name
+    path.write_text("alphabet a\n%s\n%s\n" % (head, transition))
+    assert run(capsys, "validate", path) == (2, "", "error: %s: %s\n" % (path, message))
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.adb")
     assert code == 2
@@ -270,6 +284,8 @@ def test_oword_goldens(capsys):
 
     code, out, _ = run(capsys, "oword", "--labels", "bad/")
     assert code == 2
+    for labels, message in (("a/x", "bad delay in 'a/x'"), ("%/1", "bad symbol in '%/1'")):
+        assert run(capsys, "oword", "--labels", labels) == (2, "", "error: %s\n" % message)
 
 
 def test_oracle_member(capsys):
@@ -383,6 +399,8 @@ def test_out_of_memory_exits_3(tmp_path):
 
     for argv in (("member", path, "--untimed", "a"), ("construct", "star", path)):
         assert adb(*argv) == (3, "", "error: out of memory\n")
+    # timed membership sizes its window by the word, and the delay lands past it
+    assert adb("member", path, "--timed", "a@0") == (1, "NOT MEMBER\n", "")
     # the relation product leaves slots that hold the identity relation out
     # of its states, so a spec that relates every state to itself after
     # every letter needs no slot for the delay

@@ -112,6 +112,9 @@ def test_pump_window_too_short(a1):
     run = next(r for r in enumerate_accepting_runs(a1, 6) if len(r) == 6)
     with pytest.raises(WindowTooShort):
         pump_decompose(a1, run, (0, 2))
+    for window in ((-1, 5), (2, 1), (0, 7)):
+        with pytest.raises(ValueError, match="window out of range"):
+            pump_decompose(a1, run, window)
 
 
 def test_pump_rejects_non_accepting_run(a1):

@@ -43,6 +43,10 @@ def test_validate_nfa_errors():
         validate_nfa(["s"], ["a"], "x", [], [])
     with pytest.raises(UnknownLocation):
         validate_nfa(["s"], ["a"], "s", ["x"], [])
+    with pytest.raises(UnknownLocation):
+        validate_nfa(["s"], ["a"], "s", [], [("x", "a", "s")])
+    with pytest.raises(UnknownLocation):
+        validate_nfa(["s"], ["a"], "s", [], [("s", "a", "x")])
     with pytest.raises(UnknownSymbol):
         validate_nfa(["s"], ["a"], "s", [], [("s", "z", "s")])
 

@@ -91,6 +91,9 @@ def test_word_helpers():
     assert kappa(("a", "b"), 2) == (("a", 2), ("b", 2))
     assert rep(("x",), 3) == ("x", "x", "x")
     assert rep(("x", "y"), 0) == ()
+    for helper, arg in ((shift, w), (kappa, ("a",)), (rep, ("x",))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            helper(arg, -1)
 
 
 def test_validate_timed_word_rejects_decrease():
