@@ -9,8 +9,9 @@ appends a fresh agreeing (position, guess) pair.
 
 Union, concatenation and star work on disjoint renamed copies of their
 inputs (locations of copy k are prefixed ``k$``); chain locations minted by
-concatenation and star are named ``<accepting>$tick$<k>``.  Every
-construction output passes structural validation.
+concatenation and star are named ``<accepting>$tick$<k>``, and a minted
+name already in use gets primes (``'``) appended.  Every construction
+output passes structural validation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def _renamed(adb: Adb, prefix: str):
         {name(loc) for loc in adb.accepting},
         transitions,
     )
+
+
+def _fresh(name: str, taken) -> str:
+    """``name`` with primes appended until it is not in ``taken``."""
+    while name in taken:
+        name += "'"
+    return name
 
 
 def lift_regular(nfa: Nfa) -> Adb:
@@ -91,7 +99,8 @@ def concat(a1: Adb, a2: Adb) -> Adb:
     locations = locs1 | locs2
     transitions = trans1 + trans2
     for final in sorted(acc1):
-        chain = ["%s$tick$%d" % (final, k) for k in range(1, m + 1)]
+        chain = [_fresh("%s$tick$%d" % (final, k), locations)
+                 for k in range(1, m + 1)]
         locations.update(chain)
         transitions += _tick_chain(final, chain, start2, EPS)
     return validate_adb(
@@ -113,7 +122,8 @@ def star(adb: Adb) -> Adb:
         if m == 0:
             transitions.append((final, EPS, start))
         else:
-            chain = ["%s$tick$%d" % (final, k) for k in range(1, m)]
+            chain = [_fresh("%s$tick$%d" % (final, k), locations)
+                     for k in range(1, m)]
             locations.update(chain)
             transitions += _tick_chain(final, chain, start, TICK)
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
@@ -154,9 +164,9 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Adb:
         name = seen.get(ps)
         if name is None:
             loc, slots, guesses = ps
-            name = seen[ps] = "%s|%s|%s" % (
+            name = seen[ps] = _fresh("%s|%s|%s" % (
                 loc, ",".join([spec_names[s] for s in slots]),
-                ",".join([spec_names[s] for s in guesses]))
+                ",".join([spec_names[s] for s in guesses])), locations)
             locations.add(name)
             if len(locations) > cap:
                 raise BoundExceeded(cap)

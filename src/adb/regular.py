@@ -1,5 +1,6 @@
-"""Classical NFA machinery: validation, epsilon closure and elimination,
-membership by subset simulation, and single-word NFAs.
+"""Classical NFA machinery: validation, epsilon closure, membership by
+subset simulation, single-word NFAs, and the ``SpecTable`` that both
+intersection products read.
 
 Letters are arbitrary hashable values (the stamped-alphabet view of a delay
 automaton uses ``(symbol, delay)`` tuples and the string ``"tick"``); an
@@ -16,37 +17,14 @@ from .errors import UnknownLocation, UnknownSymbol
 NfaTransition = Tuple[Hashable, Hashable, Hashable]  # (src, letter-or-None, dst)
 
 
-class Nfa(NamedTuple("Nfa", [
-    ("states", FrozenSet),
-    ("alphabet", FrozenSet),
-    ("start", Hashable),
-    ("accepting", FrozenSet),
-    ("transitions", FrozenSet[NfaTransition]),
-])):
-    """An immutable NFA; like ``Adb``, it keeps an instance ``__dict__`` for
-    its cached indexes."""
+class Nfa(NamedTuple):
+    """An immutable NFA."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to Nfa.%s" % name)
-
-    @cached_property
-    def _eps_index(self):
-        index = {}
-        for src, letter, dst in self.transitions:
-            if letter is None:
-                index.setdefault(src, set()).add(dst)
-        return index
-
-    @cached_property
-    def _letter_index(self):
-        index = {}
-        for src, letter, dst in self.transitions:
-            if letter is not None:
-                index.setdefault((src, letter), set()).add(dst)
-        return index
-
-    def step(self, state, letter) -> frozenset:
-        return frozenset(self._letter_index.get((state, letter), ()))
+    states: FrozenSet
+    alphabet: FrozenSet
+    start: Hashable
+    accepting: FrozenSet
+    transitions: FrozenSet[NfaTransition]
 
 
 def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
@@ -70,25 +48,40 @@ def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
     return Nfa(state_set, alpha, start, acc, frozenset(trans))
 
 
-def eps_closure(nfa: Nfa, states: Iterable) -> frozenset:
-    """Least superset of ``states`` closed under epsilon transitions."""
+def _edges(nfa: Nfa):
+    """The eps successors of each state, and the letter successors of each
+    (state, letter) pair."""
+    eps, letters = {}, {}
+    for src, letter, dst in nfa.transitions:
+        if letter is None:
+            eps.setdefault(src, []).append(dst)
+        else:
+            letters.setdefault((src, letter), []).append(dst)
+    return eps, letters
+
+
+def _close(eps, states: Iterable) -> frozenset:
     closure = set(states)
     stack = list(closure)
-    index = nfa._eps_index
     while stack:
-        s = stack.pop()
-        for t in index.get(s, ()):
+        for t in eps.get(stack.pop(), ()):
             if t not in closure:
                 closure.add(t)
                 stack.append(t)
     return frozenset(closure)
 
 
+def eps_closure(nfa: Nfa, states: Iterable) -> frozenset:
+    """Least superset of ``states`` closed under epsilon transitions."""
+    return _close(_edges(nfa)[0], states)
+
+
 class SpecTable:
     """An NFA prepared for both intersection products: its states are
     numbered ``0 .. n-1`` in ``names`` order, sorted by ``repr``, and its eps
-    transitions are folded into the letter steps, as :func:`eliminate_eps`
-    folds them.
+    transitions are folded into the letter steps: a state accepts when its
+    eps closure does, and steps on a letter wherever a state of its closure
+    does.
 
     A set of spec states is a frozenset of state numbers and a relation a
     frozenset of number pairs.  ``compose`` is memoized per (relation,
@@ -168,32 +161,15 @@ class SpecTable:
         return result
 
 
-def eliminate_eps(nfa: Nfa) -> Nfa:
-    """Epsilon-free NFA over the same state set accepting the same language:
-    a state accepts when its eps closure does, and steps on a letter
-    wherever a state of its closure does."""
-    table = SpecTable(nfa)
-    names = table.names
-    transitions = frozenset(
-        (names[q], letter, names[r])
-        for letter in nfa.alphabet
-        for q in range(len(names))
-        for r in table.after((q,), letter)
-    )
-    return Nfa(nfa.states, nfa.alphabet, nfa.start,
-               frozenset(names[q] for q in table.accepting), transitions)
-
-
 def nfa_member(nfa: Nfa, word: Sequence) -> bool:
     """Standard subset simulation (epsilon transitions honored)."""
-    current = eps_closure(nfa, {nfa.start})
+    eps, letters = _edges(nfa)
+    current = _close(eps, {nfa.start})
     for letter in word:
         if letter not in nfa.alphabet:
             raise UnknownSymbol(letter)
-        nxt = set()
-        for s in current:
-            nxt |= nfa.step(s, letter)
-        current = eps_closure(nfa, nxt)
+        current = _close(
+            eps, [t for s in current for t in letters.get((s, letter), ())])
         if not current:
             return False
     return bool(current & nfa.accepting)

@@ -222,3 +222,41 @@ trans l1|r1,r1|r1 l1|r1,r0|r0 tick
 trans l1|r1,r1|r1 l1|r1,r1|r1 tick
 trans l1|r1,r1|r1 l1|r1,r2|r2 tick
 """
+
+
+# A chain or product name that the construction mints may already name an
+# input location; it then gets primes, so the two never merge.
+
+def clashing_chain(delay):
+    """After renaming, the accepting ``1$l0``'s first chain location would
+    be named like the input location ``1$l0$tick$1``."""
+    return validate_adb(
+        ["l0", "l0$tick$1", "l1"], ["a", "b"], "l1", ["l0"],
+        [("l1", Out("a", delay), "l0"), ("l0$tick$1", Out("b", 0), "l0")])
+
+
+def test_concat_chain_name_clash():
+    left = clashing_chain(1)
+    right = validate_adb(["m0"], ["a", "b"], "m0", ["m0"], [])
+    c = concat(left, right)
+    assert "1$l0$tick$1'" in c.locations
+    assert untimed_sample(c, 8) == {("a",)}
+
+
+def test_star_chain_name_clash():
+    auto = clashing_chain(2)
+    s = star(auto)
+    assert "1$l0$tick$1'" in s.locations
+    assert untimed_sample(s, 12) == untimed_star_words(auto, 12, auto.max_delay + 1)
+
+
+def test_intersect_regular_name_clash():
+    # z|s| steps on a to x|p|q| and on b to x|p|q| as well, unless primed
+    auto = validate_adb(
+        ["z", "x", "x|p", "y"], ["a", "b", "c", "d"], "z", ["y"],
+        [("z", Out("a", 0), "x"), ("z", Out("b", 0), "x|p"),
+         ("x", Out("c", 0), "y"), ("x|p", Out("d", 0), "y")])
+    spec = validate_nfa(
+        ["s", "p|q", "q", "f"], ["a", "b", "c", "d"], "s", ["f"],
+        [("s", "a", "p|q"), ("s", "b", "q"), ("p|q", "c", "f"), ("q", "d", "f")])
+    assert untimed_sample(intersect_regular(auto, spec), 5) == {("a", "c"), ("b", "d")}

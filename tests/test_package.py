@@ -30,8 +30,7 @@ EXPORTED = {
         "untimed_sample",
     ],
     "regular": [
-        "Nfa", "eliminate_eps", "eps_closure", "nfa_member", "single_word_nfa",
-        "validate_nfa",
+        "Nfa", "eps_closure", "nfa_member", "single_word_nfa", "validate_nfa",
     ],
     "textio": ["parse_adb", "parse_automaton", "parse_nfa", "print_adb", "print_nfa"],
     "words": [

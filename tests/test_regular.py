@@ -1,17 +1,18 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adb import (
     Nfa,
     UnknownSymbol,
-    eliminate_eps,
     eps_closure,
     nfa_member,
     parse_nfa,
     single_word_nfa,
     validate_nfa,
 )
-from conftest import EXAMPLES, eps_cycle_nfa, nfas
+from adb.regular import SpecTable
+from conftest import EXAMPLES, SYMBOLS, eps_cycle_nfa, nfas
 
 
 def ab_star_b():
@@ -87,6 +88,21 @@ def test_single_word_nfa():
         single_word_nfa(("z",), ["a"])
 
 
+def eliminate_eps(nfa):
+    """The eps fold of ``SpecTable`` as an NFA over the same states: each
+    state steps to ``after((q,), letter)`` and accepts when the table says."""
+    table = SpecTable(nfa)
+    names = table.names
+    transitions = frozenset(
+        (names[q], letter, names[r])
+        for letter in nfa.alphabet
+        for q in range(len(names))
+        for r in table.after((q,), letter)
+    )
+    return Nfa(nfa.states, nfa.alphabet, nfa.start,
+               frozenset(names[q] for q in table.accepting), transitions)
+
+
 def eliminate_eps_by_closure(nfa):
     """The reference elimination: one ``eps_closure`` per state."""
     letter_edges = {}
@@ -126,3 +142,14 @@ def test_eliminate_eps_cycle_and_self_loop():
     assert free.accepting == {"s3"}
     assert {(s, dst) for s, letter, dst in free.transitions if letter == "a"} == {
         ("s0", "s3"), ("s1", "s3"), ("s2", "s3")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas(), st.lists(st.sampled_from(SYMBOLS), max_size=6))
+def test_nfa_member_matches_spec_table_run(nfa, word):
+    # nfa_member closes under eps itself; SpecTable folds eps into its steps
+    table = SpecTable(nfa)
+    current = {table.start}
+    for letter in word:
+        current = table.after(current, letter)
+    assert nfa_member(nfa, word) == bool(current & table.accepting)
