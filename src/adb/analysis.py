@@ -53,44 +53,43 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Timed-word membership by breadth-first search, one clock at a time.
 
     At clock ``c`` (the ticks taken) a state is ``(loc, counts)``: an
-    automaton location and ``m+1`` consumption counts, one per open time slot
-    ``c .. c+m``, packed into one int in base ``b``, one more than the most
-    letters any slot holds, with digit ``i`` for slot ``c+i``.  Here m is the
-    largest delay, or the final timestamp if that is smaller: a longer delay
-    lands past the word.  Memory follows the word and one clock's states.
+    automaton location and the consumption counts of the word's stamps at or
+    after ``c``, packed into one int in base ``b``, one more than the most
+    letters any stamp holds, with digit ``i`` for the ``i``-th such stamp.
+    Only the stamps within the largest delay M of ``c`` can hold a count, so
+    ``power`` has ``min(M+1, stamps)`` entries and nothing grows with M.
 
-    An output with delay d <= m must match the next unconsumed letter of slot
-    ``c+d`` (digit d), and adds ``b**d``; it and eps keep the clock.  A tick
-    needs slot ``c`` to be full (digit 0), then floor-divides by ``b`` to
-    shift the window, passing its state to clock ``c+1``.  One past the final
-    timestamp every slot is empty and a tick keeps the clock, which keeps the
-    search finite across eps/tick cycles.  A state accepts when its location
-    is accepting, the window reaches the final timestamp and every slot in it
-    is full: the outputs still pending then surface exactly as the word's
-    remaining letters.  The empty word needs no special case."""
+    An output with delay d must match the next unconsumed letter of stamp
+    ``c+d`` and adds its power, and fails with no stamp there; it and eps
+    keep the clock.  A tick passes its state to clock ``c+1``: if ``c`` is a
+    stamp, digit 0 must be full and the counts shift down a digit.  One past
+    the final stamp a tick keeps the clock, which keeps the search finite
+    across eps/tick cycles.  A state accepts when its location is accepting
+    and every stamp left is full: the outputs still pending then surface
+    exactly as the word's remaining letters.  Memory follows the word and
+    one clock's states; the empty word needs no special case."""
     w = validate_timed_word(w)
     for sym, _ in w:
         if sym not in adb.alphabet:
             raise UnknownSymbol(sym)
     t_end = w[-1][1] if w else -1
-    m = min(adb.max_delay, max(t_end, 0))
-    # each stamped slot's letters, then None, read by an output once full
+    # each stamp's letters, then None (read by an output once full), and rank
     slots = {
-        t: tuple(sym for sym, _ in letters) + (None,)
-        for t, letters in groupby(w, itemgetter(1))
+        t: (tuple(sym for sym, _ in letters) + (None,), rank)
+        for rank, (t, letters) in enumerate(groupby(w, itemgetter(1)))
     }
-    b = max(map(len, slots.values()), default=1)
-    power = [b**d for d in range(m + 1)]
+    sizes = [len(letters) - 1 for letters, _ in slots.values()]
+    b = max(sizes, default=0) + 1
+    power = [b**i for i in range(min(adb.max_delay + 1, len(sizes)))]
 
-    accepting, edges_from = adb.accepting, adb.edges_from
-    clock, found = 0, 1
+    accepting, edges_from, m = adb.accepting, adb.edges_from, adb.max_delay
+    clock, first, found = 0, 0, 1  # first: rank of the first stamp >= clock
     seen = {(adb.start, 0): None}
     while True:
-        window = [slots.get(clock + d, (None,)) for d in range(m + 1)]
-        size = len(window[0]) - 1
+        base, size = (b, sizes[first]) if clock in slots else (1, 0)
         full = None
-        if clock + m >= t_end:
-            full = sum((len(s) - 1) * p for s, p in zip(window, power))
+        if clock + m >= t_end:  # every stamp left is within reach
+            full = sum(n * p for n, p in zip(sizes[first:], power))
         # the next clock's states; past the final stamp a tick keeps the clock
         last = clock > t_end
         ticked = seen if last else {}
@@ -103,14 +102,19 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
                 if label is EPS:
                     state = (dst, counts)
                 elif label is TICK:
-                    if counts % b != size:
+                    if counts % base != size:
                         continue
-                    state, into = (dst, counts // b), ticked
+                    state, into = (dst, counts // base), ticked
                 else:
                     sym, d = label
-                    if d > m or window[d][counts // power[d] % b] != sym:
+                    slot = slots.get(clock + d)
+                    if slot is None:
                         continue
-                    state = (dst, counts + power[d])
+                    letters, rank = slot
+                    p = power[rank - first]
+                    if letters[counts // p % b] != sym:
+                        continue
+                    state = (dst, counts + p)
                 if state not in into:
                     into[state] = None
                     found += 1
@@ -120,7 +124,7 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
                         frontier.append(state)
         if last or not ticked:
             return False
-        clock, seen = clock + 1, ticked
+        clock, first, seen = clock + 1, first + (base > 1), ticked
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,13 @@ def _fresh(name: str, taken) -> str:
 
 def lift_regular(nfa: Nfa) -> Adb:
     """View an NFA as a delay automaton: letters become zero-delay outputs,
-    epsilon transitions stay, and no ticks are introduced."""
-    names = {s: s if isinstance(s, str) else "q%r" % (s,) for s in nfa.states}
+    epsilon transitions stay, and no ticks are introduced.  A state that is
+    not a string is named ``q<repr>``, primed if that name is in use."""
+    names = {s: s for s in nfa.states if isinstance(s, str)}
+    taken = set(names)
+    for s in sorted(nfa.states - taken, key=repr):
+        names[s] = _fresh("q%r" % (s,), taken)
+        taken.add(names[s])
     transitions = []
     for src, letter, dst in nfa.transitions:
         label = EPS if letter is None else Out(letter, 0)

@@ -376,8 +376,8 @@ def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
 
 def test_out_of_memory_exits_3(tmp_path):
     # a delay of 10^11 makes untimed member and construct star build tuples
-    # and lists with 10^11 entries; each process runs under a 400 MB
-    # address-space limit
+    # and lists with 10^11 entries, while timed member, empty and modelcheck
+    # decide; each process runs under a 400 MB address-space limit
     import resource
 
     def limit():
@@ -399,8 +399,11 @@ def test_out_of_memory_exits_3(tmp_path):
 
     for argv in (("member", path, "--untimed", "a"), ("construct", "star", path)):
         assert adb(*argv) == (3, "", "error: out of memory\n")
-    # timed membership sizes its window by the word, and the delay lands past it
+    # timed membership keeps one count per stamp of the word, whether the
+    # delay lands past the word or on one of its stamps
     assert adb("member", path, "--timed", "a@0") == (1, "NOT MEMBER\n", "")
+    assert adb("member", path, "--timed", "a@100000000000") == (
+        0, "MEMBER\n", "")
     # the relation product leaves slots that hold the identity relation out
     # of its states, so a spec that relates every state to itself after
     # every letter needs no slot for the delay

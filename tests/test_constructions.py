@@ -161,6 +161,16 @@ def test_lift_regular(abc_blocks):
     assert ("a", "a", "b") in words
 
 
+def test_lift_regular_names_non_string_states_apart():
+    # the state 0 would be named "q0", which a string state already holds
+    spec = validate_nfa(["q0", 0, 1], ["a", "b"], 0, ["q0"],
+                        [(0, "a", "q0"), ("q0", "b", 1), (1, None, "q0")])
+    lifted = lift_regular(spec)
+    assert lifted.locations == {"q0", "q0'", "q1"}
+    assert lifted.start == "q0'"
+    assert untimed_sample(lifted, 4) == {("a",), ("a", "b")}
+
+
 def test_intersect_regular_product(a1, abc_blocks, bac_blocks, sigma_star):
     prod = intersect_regular(a1, abc_blocks)
     sample = untimed_sample(prod, 40)
