@@ -156,9 +156,16 @@ def cmd_construct(args) -> int:
         result = build(*(_load(path, parse_adb) for path in args.inputs))
     text = print_adb(result)
     if args.out:
+        import stat
+
+        # written in place, then cut: truncating to zero first can block on
+        # ext4 until the old contents are written back (see README)
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    handle.truncate()
         except OSError as exc:
             raise CliError("cannot write %s: %s" % (args.out, exc))
     else:

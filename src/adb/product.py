@@ -3,15 +3,16 @@ breadth-first search that decides every regular-spec question.
 
 A state is ``(loc, current, pending)``: the set of eps-free spec states
 reached on the letters of the closed time slots and of the current slot so
-far, and one spec relation ``{(p, q)}`` per future slot ``clock+1, ...``
-for the letters queued there, ending at the last relation that is not the
-identity: the later slots, up to ``clock+M`` (M the largest delay), hold
-the identity.  A delay-0 output steps ``current``; delay d > 0 composes
-slot d's relation with the letter.  A tick maps ``current`` through the
-first relation and shifts the rest down.  At an accepting location the
-pending slots flush, so the spec states the run's untimed output reaches
-are ``current`` composed with every relation.  Edges into locations that
-cannot reach an accepting one are never taken.
+far, and the letters queued for the future slots ``clock+1, ...`` as
+``(offset, relation)`` pairs in offset order, one spec relation ``{(p, q)}``
+per slot that does not hold the identity; a slot left out holds the
+identity, so no state is sized by the largest delay.  A delay-0 output
+steps ``current``; delay d > 0 composes the relation at offset d with the
+letter.  A tick maps ``current`` through the relation at offset 1 and
+shifts the offsets down.  At an accepting location the pending slots
+flush, so the spec states the run's untimed output reaches are ``current``
+composed with every relation.  Edges into locations that cannot reach an
+accepting one are never taken.
 
 Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
 a set is a frozenset of ints and a relation a frozenset of int pairs.  The
@@ -74,7 +75,7 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
     compose, image, spec_final = table.compose, table.image, table.accepting
 
     def accepts(current, pending) -> bool:
-        for relation in pending:
+        for _, relation in pending:
             current = image(current, relation)
         return bool(current & spec_final) == hit
 
@@ -92,8 +93,10 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
             cur, pend = current, pending
             if label is TICK:
                 if pend:
-                    cur = image(cur, pend[0])
-                    pend = pend[1:]
+                    if pend[0][0] == 1:
+                        cur = image(cur, pend[0][1])
+                        pend = pend[1:]
+                    pend = tuple([(k - 1, relation) for k, relation in pend])
             elif label is not EPS:
                 symbol, d = label
                 if d == 0:
@@ -102,16 +105,15 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
                     if cur is None:
                         cur = memo[current] = after(current, symbol)
                 else:
-                    k = len(pend)
-                    relation = compose(pend[d - 1] if d <= k else identity, symbol)
+                    i = 0
+                    while i < len(pend) and pend[i][0] < d:
+                        i += 1
+                    j = i + (i < len(pend) and pend[i][0] == d)
+                    relation = compose(pend[i][1] if j > i else identity, symbol)
                     if hit and not relation:
                         continue  # the image is empty from here on
-                    # slots past the last relation hold the identity
-                    if d <= k or relation != identity:
-                        pend = (pend[:d - 1] + (identity,) * (d - 1 - k)
-                                + (relation,) + pend[d:])
-                        while pend and pend[-1] == identity:
-                            pend = pend[:-1]
+                    entry = () if relation == identity else ((d, relation),)
+                    pend = pend[:i] + entry + pend[j:]
             if hit and not cur:
                 continue
             nxt = (dst, cur, pend)

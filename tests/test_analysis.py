@@ -191,8 +191,9 @@ def test_member_timed_agrees_with_brute_force(auto, max_transitions, seed):
 @st.composite
 def far_delay_adbs(draw):
     """Small random automata like ``conftest.adbs`` whose delays may reach
-    10^12; kept out of ``adbs`` because the relation product pads its
-    pending slots up to a delay."""
+    10^12; kept out of ``adbs`` because star and concat build a tick chain
+    as long as the largest delay, and the reference search in
+    ``test_product`` pads its pending slots up to it."""
     locations = ["l%d" % i for i in range(draw(st.integers(1, 4)))]
     loc = st.sampled_from(locations)
     label = st.one_of(

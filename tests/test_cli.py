@@ -162,6 +162,87 @@ def test_construct_unwritable_out(tmp_path, capsys):
     assert err.startswith("error: cannot write ")
 
 
+def test_construct_out_directory(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", tmp_path
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+
+
+def star_a1(capsys):
+    code, out, _ = run(capsys, "construct", "star", EXAMPLES / "a1.adb")
+    assert code == 0
+    return out.encode()
+
+
+def test_construct_out_rewrites_in_place(tmp_path, capsys):
+    # a longer file keeps its inode and mode, a hard link to it sees the new
+    # bytes, and no byte of the old tail is left
+    out_path, link = tmp_path / "a1star.adb", tmp_path / "link.adb"
+    out_path.write_text("# old\n" * 10000)
+    out_path.chmod(0o640)
+    os.link(out_path, link)
+    before = out_path.stat()
+    code, out, _ = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", out_path
+    )
+    assert (code, out) == (0, "")
+    after = out_path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert out_path.read_bytes() == link.read_bytes() == star_a1(capsys)
+
+
+def test_construct_out_follows_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.adb", tmp_path / "link.adb"
+    target.write_text("# old\n" * 10000)
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", link)
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == star_a1(capsys)
+
+
+def test_construct_out_dev_null(capsys):
+    # a character device cannot be truncated, so it is only written
+    code, out, _ = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", os.devnull
+    )
+    assert (code, out) == (0, "")
+
+
+def test_construct_out_opens_without_truncating(tmp_path, capsys, monkeypatch):
+    # truncating a file that is still being written back stalls the process
+    # on ext4; the old tail is cut after the write instead
+    flags, real_open = [], os.open
+
+    def spy(path, flag, *rest):
+        flags.append(flag)
+        return real_open(path, flag, *rest)
+
+    monkeypatch.setattr(os, "open", spy)
+    out_path = tmp_path / "a1star.adb"
+    out_path.write_text("# old\n" * 10000)
+    code, _, _ = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", out_path
+    )
+    assert code == 0
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    monkeypatch.undo()
+    assert out_path.read_bytes() == star_a1(capsys)
+
+
+def test_construct_star_of_its_own_out(tmp_path, capsys):
+    # the input is read whole before the output is written over it
+    out_path = tmp_path / "a1.adb"
+    out_path.write_bytes((EXAMPLES / "a1.adb").read_bytes())
+    code, want, _ = run(capsys, "construct", "star", out_path)
+    assert code == 0
+    code, _, _ = run(capsys, "construct", "star", out_path, "--out", out_path)
+    assert code == 0
+    assert out_path.read_text() == want
+
+
 def test_construct_concat_has_tick_chains(capsys):
     code, out, _ = run(
         capsys, "construct", "concat", EXAMPLES / "a1.adb", EXAMPLES / "a1.adb"
@@ -189,6 +270,10 @@ def test_construct_intersect_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ADB_MAX_STATES", "20")
     assert run(capsys, *argv) == (3, "", "error: exceeded cap of 20\n")
     assert not out_path.exists()
+    # an existing target is left as it was
+    out_path.write_text("# old\n")
+    assert run(capsys, *argv) == (3, "", "error: exceeded cap of 20\n")
+    assert out_path.read_bytes() == b"# old\n"
 
 
 def test_construct_intersect_needs_spec(capsys):
@@ -375,8 +460,8 @@ def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
 
 
 def test_out_of_memory_exits_3(tmp_path):
-    # a delay of 10^11 makes untimed member and construct star build tuples
-    # and lists with 10^11 entries, while timed member, empty and modelcheck
+    # a delay of 10^11 makes construct star build a tick chain of 10^11
+    # locations, while untimed and timed member, empty and modelcheck
     # decide; each process runs under a 400 MB address-space limit
     import resource
 
@@ -397,8 +482,10 @@ def test_out_of_memory_exits_3(tmp_path):
             preexec_fn=limit)
         return result.returncode, result.stdout, result.stderr
 
-    for argv in (("member", path, "--untimed", "a"), ("construct", "star", path)):
-        assert adb(*argv) == (3, "", "error: out of memory\n")
+    assert adb("construct", "star", path) == (3, "", "error: out of memory\n")
+    # the relation product keeps one pending relation per slot that holds
+    # letters, not one per slot up to the delay
+    assert adb("member", path, "--untimed", "a") == (0, "MEMBER\n", "")
     # timed membership keeps one count per stamp of the word, whether the
     # delay lands past the word or on one of its stamps
     assert adb("member", path, "--timed", "a@0") == (1, "NOT MEMBER\n", "")

@@ -153,21 +153,56 @@ def test_search_steps_each_letter_apart():
         assert want[0] == ((Out("b", 0),) if hit else (Out("a", 0),))
 
 
-def test_search_trims_a_pending_identity():
-    # the second a/1 composes the swap relation back to the identity, which
-    # the search drops from the end of the pending tuple
-    auto = validate_adb(["l0", "l1", "l2"], ["a"], "l0", ["l2"], [
-        ("l0", Out("a", 1), "l1"), ("l1", Out("a", 1), "l2"),
-        ("l2", TICK, "l2"),
-    ])
-    spec = validate_nfa(["s0", "s1"], ["a"], "s0", ["s0"],
-                        [("s0", "a", "s1"), ("s1", "a", "s0")])
+def matches_reference_at_every_cap(auto, spec):
     for hit in (True, False):
         _, count = reference_search(auto, spec, hit, 10**6)
         for cap in range(1, count + 2):
             want = outcome(reference_search, auto, spec, hit, cap)
             assert outcome(search_accepting, auto, spec, hit, cap) == want
             assert (want[0] == "BoundExceeded") == (cap < count)
-    assert outcome(search_accepting, auto, spec, True, 10**6)[0] == (
+
+
+PARITY = validate_nfa(["s0", "s1"], ["a"], "s0", ["s0"],
+                      [("s0", "a", "s1"), ("s1", "a", "s0")])
+
+
+def test_search_trims_a_pending_identity():
+    # the second a/1 composes the swap relation back to the identity, which
+    # the search leaves out of its pending pairs
+    auto = validate_adb(["l0", "l1", "l2"], ["a"], "l0", ["l2"], [
+        ("l0", Out("a", 1), "l1"), ("l1", Out("a", 1), "l2"),
+        ("l2", TICK, "l2"),
+    ])
+    matches_reference_at_every_cap(auto, PARITY)
+    assert outcome(search_accepting, auto, PARITY, True, 10**6)[0] == (
         Out("a", 1), Out("a", 1))
-    assert outcome(search_accepting, auto, spec, False, 10**6)[0] is None
+    assert outcome(search_accepting, auto, PARITY, False, 10**6)[0] is None
+
+
+def test_search_leaves_out_an_inner_identity():
+    # as above, behind a relation at offset 2 that stays pending
+    auto = validate_adb(["l0", "l1", "l2", "l3"], ["a"], "l0", ["l3"], [
+        ("l0", Out("a", 2), "l1"), ("l1", Out("a", 1), "l2"),
+        ("l2", Out("a", 1), "l3"), ("l3", TICK, "l3"),
+    ])
+    matches_reference_at_every_cap(auto, PARITY)
+    assert outcome(search_accepting, auto, PARITY, True, 10**6)[0] is None
+    assert outcome(search_accepting, auto, PARITY, False, 10**6)[0] == (
+        Out("a", 2), Out("a", 1), Out("a", 1))
+
+
+def test_search_holds_no_slot_per_delay():
+    # only slots that hold letters are pending, so a delay of 10^12 searches
+    # the same states as a delay of 3 when the goal comes before a tick
+    def auto(d):
+        return validate_adb(["l0", "l1", "l2"], SYMBOLS, "l0", ["l2"], [
+            ("l0", Out("a", d), "l1"), ("l1", TICK, "l1"),
+            ("l1", Out("b", 0), "l2"),
+        ])
+
+    spec = single_word_nfa(("b", "a"), SYMBOLS)
+    near = outcome(reference_search, auto(3), spec, True, 10**6)
+    far = outcome(search_accepting, auto(10**12), spec, True, 10**6)
+    assert near[0] == (Out("a", 3), Out("b", 0))
+    assert far[0] == (Out("a", 10**12), Out("b", 0))
+    assert far[2] == near[2]
