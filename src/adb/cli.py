@@ -46,10 +46,9 @@ def _load(path: str, parse):
 
 
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
+    from .words import _decimal
+
+    value = _decimal(text)
     if value is None or value < 0:
         import argparse
 

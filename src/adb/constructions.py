@@ -28,12 +28,11 @@ from .words import EPS, TICK, Out
 def _renamed(adb: Adb, prefix: str):
     """Location-renamed copy of the automaton's pieces."""
     name = lambda loc: prefix + loc
-    transitions = [(name(s), lab, name(d)) for s, lab, d in adb.sorted_transitions]
     return (
         {name(loc) for loc in adb.locations},
         name(adb.start),
         {name(loc) for loc in adb.accepting},
-        transitions,
+        [(name(s), lab, name(d)) for s, lab, d in adb.transitions],
     )
 
 
@@ -82,14 +81,20 @@ def union(a1: Adb, a2: Adb) -> Adb:
     )
 
 
-def _tick_chain(src, chain_names, dst, tail_label):
-    """Transitions src -tick-> c1 -tick-> ... -tick-> cn, then tail to dst."""
+def _flush(finals, ticks, target, tail, locations):
+    """From each accepting location, in sorted order, ``ticks`` ticks through
+    fresh ``<final>$tick$<k>`` locations (added to ``locations``), then
+    ``tail`` into ``target``: long enough for every pending output to
+    surface before ``target`` runs."""
     transitions = []
-    here = src
-    for node in chain_names:
-        transitions.append((here, TICK, node))
-        here = node
-    transitions.append((here, tail_label, dst))
+    for final in sorted(finals):
+        # named in one expression: a chain too long for memory fails there,
+        # and is freed before the error is reported
+        path = [final] + [_fresh("%s$tick$%d" % (final, k), locations)
+                          for k in range(1, ticks + 1)]
+        locations.update(path[1:])
+        transitions += [(a, TICK, b) for a, b in zip(path, path[1:])]
+        transitions.append((path[-1], tail, target))
     return transitions
 
 
@@ -100,14 +105,8 @@ def concat(a1: Adb, a2: Adb) -> Adb:
     accepting locations remain accepting."""
     locs1, start1, acc1, trans1 = _renamed(a1, "1$")
     locs2, start2, acc2, trans2 = _renamed(a2, "2$")
-    m = a1.max_delay
     locations = locs1 | locs2
-    transitions = trans1 + trans2
-    for final in sorted(acc1):
-        chain = [_fresh("%s$tick$%d" % (final, k), locations)
-                 for k in range(1, m + 1)]
-        locations.update(chain)
-        transitions += _tick_chain(final, chain, start2, EPS)
+    transitions = trans1 + trans2 + _flush(acc1, a1.max_delay, start2, EPS, locations)
     return validate_adb(
         locations, a1.alphabet | a2.alphabet, start1, acc2, transitions
     )
@@ -121,16 +120,9 @@ def star(adb: Adb) -> Adb:
     locs, start_copy, acc, trans = _renamed(adb, "1$")
     start = "$star"
     locations = locs | {start}
-    transitions = trans + [(start, EPS, start_copy)]
     m = adb.max_delay
-    for final in sorted(acc):
-        if m == 0:
-            transitions.append((final, EPS, start))
-        else:
-            chain = [_fresh("%s$tick$%d" % (final, k), locations)
-                     for k in range(1, m)]
-            locations.update(chain)
-            transitions += _tick_chain(final, chain, start, TICK)
+    transitions = trans + [(start, EPS, start_copy)] + _flush(
+        acc, max(m - 1, 0), start, TICK if m else EPS, locations)
     return validate_adb(locations, adb.alphabet, start, {start}, transitions)
 
 

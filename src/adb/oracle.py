@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple, Set, Tuple
 from .automaton import Adb, Run, is_accepting_run, run_output
 from .errors import BoundExceeded, DecreasingTimestamp, UnknownSymbol, WindowTooShort
 from .product import DEFAULT_STATE_CAP
-from .words import EPS, Out, TimedWord, rep, validate_timed_word
+from .words import EPS, Out, TimedWord, rep, untime, validate_timed_word
 
 
 def enumerate_accepting_runs(
@@ -44,7 +44,7 @@ def language_sample(adb: Adb, max_transitions: int,
 
 def untimed_sample(adb: Adb, max_transitions: int,
                    cap=DEFAULT_STATE_CAP) -> Set[Tuple[str, ...]]:
-    return {tuple(s for s, _ in w) for w in language_sample(adb, max_transitions, cap)}
+    return {untime(w) for w in language_sample(adb, max_transitions, cap)}
 
 
 def brute_member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:

@@ -22,14 +22,13 @@ from typing import Callable, List, NamedTuple, Tuple
 from .automaton import Adb, validate_adb
 from .errors import AdbError, ParseError
 from .regular import Nfa, validate_nfa
-from .words import EPS, TICK, Out, label_key
+from .words import EPS, TICK, Out, _decimal, label_key
 
 
 def _out_label(tokens, lineno) -> Out:
-    try:
-        delay = int(tokens[5])
-    except ValueError:
-        raise ParseError("bad delay %r" % tokens[5], lineno) from None
+    delay = _decimal(tokens[5])
+    if delay is None:
+        raise ParseError("bad delay %r" % tokens[5], lineno)
     if delay < 0:
         raise ParseError("negative delay", lineno)
     try:

@@ -18,7 +18,7 @@ words whitespace-separated symbols, and label sequences ``sym/d`` / ``tick``
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DecreasingTimestamp, InvalidSymbol, ParseError
 
@@ -132,8 +132,6 @@ def validate_timed_word(letters: Sequence[TimedLetter]) -> TimedWord:
     prev = 0
     for i, (sym, t) in enumerate(letters):
         check_symbol(sym)
-        if t < 0:
-            raise DecreasingTimestamp(i)
         if t < prev:
             raise DecreasingTimestamp(i)
         prev = t
@@ -142,6 +140,19 @@ def validate_timed_word(letters: Sequence[TimedLetter]) -> TimedWord:
 
 # ---------------------------------------------------------------------------
 # text forms
+
+
+def _decimal(text: str) -> Optional[int]:
+    """A number token's value: one or more ASCII digits.  ``-`` then digits
+    (``-0`` too) gives -1, for the caller to report as negative; any other
+    text gives None."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return -1 if text[0] == "-" else int(text)
+    except ValueError:  # more digits than ``int`` converts
+        return None
 
 
 def parse_timed_word(text: str) -> TimedWord:
@@ -153,10 +164,9 @@ def parse_timed_word(text: str) -> TimedWord:
         sym, sep, stamp = token.partition("@")
         if not sep or not stamp:
             raise ParseError("expected sym@t token, got %r" % token)
-        try:
-            t = int(stamp)
-        except ValueError:
-            raise ParseError("bad timestamp in %r" % token) from None
+        t = _decimal(stamp)
+        if t is None:
+            raise ParseError("bad timestamp in %r" % token)
         if t < 0:
             raise ParseError("negative timestamp in %r" % token)
         try:
@@ -202,10 +212,9 @@ def parse_labels(text: str) -> LabelSequence:
             sym, sep, delay = token.partition("/")
             if not sep or not delay:
                 raise ParseError("expected sym/d, tick or eps, got %r" % token)
-            try:
-                d = int(delay)
-            except ValueError:
-                raise ParseError("bad delay in %r" % token) from None
+            d = _decimal(delay)
+            if d is None:
+                raise ParseError("bad delay in %r" % token)
             if d < 0:
                 raise ParseError("negative delay in %r" % token)
             try:

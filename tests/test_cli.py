@@ -115,6 +115,8 @@ def test_member_bad_word(capsys):
     code, _, err = run(capsys, "member", EXAMPLES / "a1.adb", "--timed", "z@0")
     assert code == 2
     assert "'z'" in err
+    assert run(capsys, "member", EXAMPLES / "a1.adb", "--timed", "a@0 b@+1 c@2") == (
+        2, "", "error: bad timestamp in 'b@+1'\n")
 
 
 def test_modelcheck(capsys):
@@ -322,12 +324,16 @@ def test_enumerate_zero_bound(capsys):
 
 
 def test_enumerate_negative_bound(capsys):
-    code, out, err = run(
-        capsys, "enumerate", EXAMPLES / "a1.adb", "--max-transitions", "-1"
-    )
-    assert code == 2
-    assert out == ""
-    assert "--max-transitions" in err
+    for bound, message in (("-1", "must be nonnegative: '-1'"),
+                           ("-0", "must be nonnegative: '-0'"),
+                           ("1_0", "invalid int value: '1_0'"),
+                           ("+3", "invalid int value: '+3'"),
+                           ("\u0663", "invalid int value: '\u0663'")):
+        code, out, err = run(
+            capsys, "enumerate", EXAMPLES / "a1.adb", "--max-transitions", bound
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("--max-transitions: %s\n" % message)
 
 
 def test_enumerate_untimed(capsys):
@@ -369,7 +375,9 @@ def test_oword_goldens(capsys):
 
     code, out, _ = run(capsys, "oword", "--labels", "bad/")
     assert code == 2
-    for labels, message in (("a/x", "bad delay in 'a/x'"), ("%/1", "bad symbol in '%/1'")):
+    for labels, message in (("a/x", "bad delay in 'a/x'"), ("%/1", "bad symbol in '%/1'"),
+                            ("a/+2 b/\u0663", "bad delay in 'a/+2'"),
+                            ("b/\u0663", "bad delay in 'b/\u0663'")):
         assert run(capsys, "oword", "--labels", labels) == (2, "", "error: %s\n" % message)
 
 
@@ -457,6 +465,17 @@ def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
     expected = run(capsys, *argv)
     assert expected[0] == want
     assert run_process(*argv, env=env) == expected
+
+
+def test_construct_output_ignores_hash_seed():
+    # the constructions copy their inputs' transition sets unsorted, so the
+    # printed text must not depend on set order
+    a1, a3 = EXAMPLES / "a1.adb", EXAMPLES / "a3.adb"
+    for argv in (("concat", a3, a1), ("star", a3), ("union", a1, a3)):
+        outputs = {run_process("construct", *argv, env={"PYTHONHASHSEED": seed})
+                   for seed in ("1", "2")}
+        assert len(outputs) == 1
+        assert next(iter(outputs))[0] == 0
 
 
 def test_out_of_memory_exits_3(tmp_path):

@@ -260,6 +260,85 @@ def test_star_chain_name_clash():
     assert untimed_sample(s, 12) == untimed_star_words(auto, 12, auto.max_delay + 1)
 
 
+# Exact printed text of the constructions, flush chain names included.
+PRINTED = {
+    "union a1 a1": (lambda a1: union(a1, a1), (
+        "alphabet a b c\n"
+        "locations $u 1$l0 1$l1 1$l2 2$l0 2$l1 2$l2\n"
+        "start $u\n"
+        "accept 1$l0 2$l0\n"
+        "trans $u 1$l0 eps\n"
+        "trans $u 2$l0 eps\n"
+        "trans 1$l0 1$l1 out a 0\n"
+        "trans 1$l1 1$l2 out b 1\n"
+        "trans 1$l2 1$l0 out c 2\n"
+        "trans 2$l0 2$l1 out a 0\n"
+        "trans 2$l1 2$l2 out b 1\n"
+        "trans 2$l2 2$l0 out c 2\n")),
+    "concat a1 a1": (lambda a1: concat(a1, a1), (
+        "alphabet a b c\n"
+        "locations 1$l0 1$l0$tick$1 1$l0$tick$2 1$l1 1$l2 2$l0 2$l1 2$l2\n"
+        "start 1$l0\n"
+        "accept 2$l0\n"
+        "trans 1$l0 1$l1 out a 0\n"
+        "trans 1$l0 1$l0$tick$1 tick\n"
+        "trans 1$l0$tick$1 1$l0$tick$2 tick\n"
+        "trans 1$l0$tick$2 2$l0 eps\n"
+        "trans 1$l1 1$l2 out b 1\n"
+        "trans 1$l2 1$l0 out c 2\n"
+        "trans 2$l0 2$l1 out a 0\n"
+        "trans 2$l1 2$l2 out b 1\n"
+        "trans 2$l2 2$l0 out c 2\n")),
+    "star a1": (lambda a1: star(a1), (
+        "alphabet a b c\n"
+        "locations $star 1$l0 1$l0$tick$1 1$l1 1$l2\n"
+        "start $star\n"
+        "accept $star\n"
+        "trans $star 1$l0 eps\n"
+        "trans 1$l0 1$l1 out a 0\n"
+        "trans 1$l0 1$l0$tick$1 tick\n"
+        "trans 1$l0$tick$1 $star tick\n"
+        "trans 1$l1 1$l2 out b 1\n"
+        "trans 1$l2 1$l0 out c 2\n")),
+    # largest delay 0: a direct eps back to the fresh start
+    "star delay 0": (lambda a1: star(clashing_chain(0)), (
+        "alphabet a b\n"
+        "locations $star 1$l0 1$l0$tick$1 1$l1\n"
+        "start $star\n"
+        "accept $star\n"
+        "trans $star 1$l1 eps\n"
+        "trans 1$l0 $star eps\n"
+        "trans 1$l0$tick$1 1$l0 out b 0\n"
+        "trans 1$l1 1$l0 out a 0\n")),
+    "concat clash": (lambda a1: concat(clashing_chain(1), validate_adb(
+        ["m0"], ["a", "b"], "m0", ["m0"], [])), (
+        "alphabet a b\n"
+        "locations 1$l0 1$l0$tick$1 1$l0$tick$1' 1$l1 2$m0\n"
+        "start 1$l1\n"
+        "accept 2$m0\n"
+        "trans 1$l0 1$l0$tick$1' tick\n"
+        "trans 1$l0$tick$1 1$l0 out b 0\n"
+        "trans 1$l0$tick$1' 2$m0 eps\n"
+        "trans 1$l1 1$l0 out a 1\n")),
+    "star clash": (lambda a1: star(clashing_chain(2)), (
+        "alphabet a b\n"
+        "locations $star 1$l0 1$l0$tick$1 1$l0$tick$1' 1$l1\n"
+        "start $star\n"
+        "accept $star\n"
+        "trans $star 1$l1 eps\n"
+        "trans 1$l0 1$l0$tick$1' tick\n"
+        "trans 1$l0$tick$1 1$l0 out b 0\n"
+        "trans 1$l0$tick$1' $star tick\n"
+        "trans 1$l1 1$l0 out a 2\n")),
+}
+
+
+@pytest.mark.parametrize("name", PRINTED)
+def test_construction_printed_text(a1, name):
+    build, text = PRINTED[name]
+    assert print_adb(build(a1)) == text
+
+
 def test_intersect_regular_name_clash():
     # z|s| steps on a to x|p|q| and on b to x|p|q| as well, unless primed
     auto = validate_adb(

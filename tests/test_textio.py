@@ -68,10 +68,13 @@ def test_parse_errors_carry_line_numbers():
         parse_adb("alphabet a\nlocations l0\nstart l0 l1\naccept\n")
     with pytest.raises(ParseError):
         parse_adb("alphabet a\nlocations l0\nstart l0\naccept\nbogus line\n")
-    with pytest.raises(ParseError):
-        parse_adb(
-            "alphabet a\nlocations l0\nstart l0\naccept\ntrans l0 l0 out a -1\n"
-        )
+    for delay, message in (("-1", "negative delay"), ("-0", "negative delay"),
+                           ("+1", "bad delay"), ("1_0", "bad delay"),
+                           ("\u0661", "bad delay")):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_adb("alphabet a\nlocations l0\nstart l0\naccept\n"
+                      "trans l0 l0 out a %s\n" % delay)
+        assert info.value.line == 5
 
 
 def test_adb_round_trip_on_corpus(corpus_adbs):

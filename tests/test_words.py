@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +129,31 @@ def test_parse_errors():
         parse_labels("a/")
     with pytest.raises(ParseError):
         parse_labels("a/-1")
+    # a number is one or more ASCII digits; "-" then digits is negative
+    for token in ("+1", "1_0", "\u0663", "1.0"):
+        with pytest.raises(ParseError, match="bad timestamp"):
+            parse_timed_word("a@0 b@%s" % token)
+        with pytest.raises(ParseError, match="bad delay"):
+            parse_labels("a/%s" % token)
+    for token in ("-0", "-1"):
+        with pytest.raises(ParseError, match="negative timestamp"):
+            parse_timed_word("a@%s" % token)
+        with pytest.raises(ParseError, match="negative delay"):
+            parse_labels("a/%s" % token)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() converts any number of digits")
+def test_number_past_int_digit_limit_is_bad():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError, match="bad timestamp"):
+            parse_timed_word("a@" + "1" * 1000)
+        with pytest.raises(ParseError, match="bad delay"):
+            parse_labels("a/" + "1" * 1000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 symbols = st.sampled_from(["a", "b", "c", "d"])
@@ -190,12 +218,12 @@ def parse_timed_word_in_two_passes(text):
         sym, sep, stamp = token.partition("@")
         if not sep or not stamp:
             raise ParseError("expected sym@t token, got %r" % token)
-        try:
-            t = int(stamp)
-        except ValueError:
-            raise ParseError("bad timestamp in %r" % token) from None
-        if t < 0:
+        number = re.fullmatch(r"(-?)([0-9]+)", stamp)
+        if number is None:
+            raise ParseError("bad timestamp in %r" % token)
+        if number[1]:
             raise ParseError("negative timestamp in %r" % token)
+        t = int(stamp)
         try:
             check_symbol(sym)
         except InvalidSymbol:
@@ -217,8 +245,8 @@ def outcome(parse, text):
 timed_tokens = st.one_of(
     st.builds("{}@{}".format, st.sampled_from(["a", "b", "#", "x-1", "tick", "",
                                                "a b", "é"]),
-              st.sampled_from(["0", "1", "2", "5", "-1", "+3", "1_0", "x", "",
-                               "1@2"])),
+              st.sampled_from(["0", "1", "2", "5", "-1", "-0", "+3", "1_0",
+                               "\u0663", "x", "", "1@2"])),
     st.sampled_from(["a", "a@", "@0", "@", "a@0@", "eps@1"]),
 )
 
