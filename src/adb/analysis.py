@@ -160,7 +160,8 @@ def intersect_regular_empty(
 
 def member_untimed(adb: Adb, u: UntimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Untimed membership via intersection with a single-word NFA."""
-    return _search(adb, single_word_nfa(u, adb.alphabet), True, cap) is not None
+    path, _ = search_accepting(adb, single_word_nfa(u, adb.alphabet), True, cap)
+    return path is not None
 
 
 class Verdict(NamedTuple):

@@ -59,12 +59,6 @@ class Adb(NamedTuple("Adb", [
         raise AttributeError("cannot assign to Adb.%s" % name)
 
     @cached_property
-    def sorted_transitions(self) -> Tuple[Transition, ...]:
-        return tuple(
-            sorted(self.transitions, key=lambda t: (t[0], label_key(t[1]), t[2]))
-        )
-
-    @cached_property
     def max_delay(self) -> int:
         """Largest delay on any output transition (0 when there is none)."""
         return max(
@@ -75,14 +69,17 @@ class Adb(NamedTuple("Adb", [
     @cached_property
     def _edges_by_src(self):
         index = {loc: [] for loc in self.locations}
-        for src, lab, dst in self.sorted_transitions:
+        for src, lab, dst in sorted(
+            self.transitions, key=lambda t: (t[0], label_key(t[1]), t[2])
+        ):
             index[src].append((lab, dst))
         return {src: tuple(edges) for src, edges in index.items()}
 
     def edges_from(self, loc: str) -> Tuple[Tuple[Label, str], ...]:
-        if loc not in self.locations:
-            raise UnknownLocation(loc)
-        return self._edges_by_src[loc]
+        try:
+            return self._edges_by_src[loc]
+        except KeyError:
+            raise UnknownLocation(loc) from None
 
 
 def validate_adb(
@@ -97,13 +94,11 @@ def validate_adb(
     ``locations`` may contain duplicates only by mistake; they are rejected
     rather than collapsed so that text-format typos surface early.
     """
-    loc_list = [check_location(loc) for loc in locations]
-    seen = set()
-    for loc in loc_list:
-        if loc in seen:
+    loc_set = set()
+    for loc in locations:
+        if check_location(loc) in loc_set:
             raise DuplicateLocation(loc)
-        seen.add(loc)
-    loc_set = frozenset(loc_list)
+        loc_set.add(loc)
 
     alpha = set()
     for sym in alphabet:
@@ -132,7 +127,7 @@ def validate_adb(
             raise InvalidStep(len(trans))
         trans.add((src, lab, dst))
 
-    return Adb(loc_set, frozenset(alpha), start, acc, frozenset(trans))
+    return Adb(frozenset(loc_set), frozenset(alpha), start, acc, frozenset(trans))
 
 
 class Run:

@@ -46,6 +46,8 @@ class Out(NamedTuple("Out", [("symbol", str), ("delay", int)])):
 
     def __new__(cls, symbol: str, delay: int):
         check_symbol(symbol)
+        if not isinstance(delay, int):
+            raise TypeError("delay must be an int, got %r" % (delay,))
         if delay < 0:
             raise ValueError("delay must be nonnegative")
         return super().__new__(cls, symbol, delay)
@@ -128,10 +130,12 @@ def oword(labels: Iterable[Label]) -> TimedWord:
 
 
 def validate_timed_word(letters: Sequence[TimedLetter]) -> TimedWord:
-    """Check letter validity and non-decreasing timestamps."""
+    """Check letter validity and non-decreasing int timestamps."""
     prev = 0
     for i, (sym, t) in enumerate(letters):
         check_symbol(sym)
+        if not isinstance(t, int):
+            raise TypeError("timestamp must be an int, got %r" % (t,))
         if t < prev:
             raise DecreasingTimestamp(i)
         prev = t

@@ -150,6 +150,8 @@ def test_record_value_semantics(cls, fields):
     for name in list(fields) + ["extra"]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     assert record == twin
 
 
@@ -157,21 +159,28 @@ def test_record_defaults_and_checks():
     assert Run("l0").steps == () and Run(start="l0") == Run("l0", ())
     verdict = Verdict(holds=True)
     assert verdict.counterexample is None and verdict.witness_run is None
+    assert Run("l0", (STEP,)) != ("l0", (STEP,))  # not a tuple
     assert repr(Out("a", 2)) == "Out(a/2)"
+    assert repr(EPS) == "EPS" and repr(TICK) == "TICK"
     with pytest.raises(InvalidSymbol):
         Out("tick", 0)
     with pytest.raises(ValueError):
         Out("a", -1)
+    for delay in (1.5, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            Out("a", delay)
+    assert Out("a", True).delay == 1  # a bool is an int
 
 
 def test_adb_cached_indexes(a3):
     twin = validate_adb(a3.locations, a3.alphabet, a3.start, a3.accepting,
                         a3.transitions)
     assert a3.max_delay == 2
-    assert a3.sorted_transitions == (
+    assert [(loc,) + edge for loc in ("l0", "l1", "l2")
+            for edge in a3.edges_from(loc)] == [
         ("l0", Out("a", 0), "l1"),
         ("l0", Out("b", 0), "l2"),
         ("l1", Out("c", 1), "l0"),
         ("l2", Out("d", 2), "l0"),
-    )
+    ]
     assert a3 == twin and hash(a3) == hash(twin)

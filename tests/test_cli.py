@@ -467,15 +467,27 @@ def test_process_matches_in_process(capsys, monkeypatch, argv, env, want):
     assert run_process(*argv, env=env) == expected
 
 
+def assert_ignores_hash_seed(argv, code):
+    outputs = {run_process(*argv, env={"PYTHONHASHSEED": seed})
+               for seed in ("1", "2")}
+    assert len(outputs) == 1
+    assert next(iter(outputs))[0] == code
+
+
 def test_construct_output_ignores_hash_seed():
     # the constructions copy their inputs' transition sets unsorted, so the
     # printed text must not depend on set order
     a1, a3 = EXAMPLES / "a1.adb", EXAMPLES / "a3.adb"
     for argv in (("concat", a3, a1), ("star", a3), ("union", a1, a3)):
-        outputs = {run_process("construct", *argv, env={"PYTHONHASHSEED": seed})
-                   for seed in ("1", "2")}
-        assert len(outputs) == 1
-        assert next(iter(outputs))[0] == 0
+        assert_ignores_hash_seed(("construct",) + argv, 0)
+
+
+def test_witnesses_ignore_hash_seed():
+    # the edge index fixes the search order, so a printed witness word or
+    # run must not depend on set order either
+    assert_ignores_hash_seed(("empty", EXAMPLES / "a3.adb"), 0)
+    assert_ignores_hash_seed(("modelcheck", EXAMPLES / "a1.adb", "--spec",
+                              EXAMPLES / "bstar-astar-cstar.nfa"), 1)
 
 
 def test_out_of_memory_exits_3(tmp_path):

@@ -106,6 +106,13 @@ def test_validate_timed_word_rejects_decrease():
         validate_timed_word((("a", -1),))
 
 
+def test_validate_timed_word_rejects_non_int_stamp():
+    for stamp in (1.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            validate_timed_word((("a", 0), ("b", stamp)))
+    assert validate_timed_word((("a", False), ("b", True))) == (("a", 0), ("b", 1))
+
+
 def test_parse_format_round_trips():
     assert parse_timed_word("a@0 b@1") == (("a", 0), ("b", 1))
     assert parse_timed_word("") == ()
