@@ -28,17 +28,13 @@ class CliError(AdbError):
     """A bad command line or an unreadable input file (exit 2)."""
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """Read and parse a file, naming it in any error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %s: %s" % (path, exc))
-
-
-def _load(path: str, parse):
-    """Parse a file, naming it in any error."""
-    text = _read(path)
     try:
         return parse(text)
     except AdbError as exc:

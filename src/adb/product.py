@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .automaton import Adb
 from .errors import BoundExceeded, IncompatibleAlphabet
-from .regular import Nfa, SpecTable
+from .regular import Nfa, SpecTable, _close
 from .words import EPS, TICK
 
 DEFAULT_STATE_CAP = 10**6
@@ -40,20 +40,13 @@ def check_alphabet(adb: Adb, spec: Nfa) -> None:
         )
 
 
-def _live(adb: Adb) -> set:
+def _live(adb: Adb) -> frozenset:
     """The locations that can still reach an accepting one: a shortest
     accepting path never leaves them."""
     preds = {}
     for src, _, dst in adb.transitions:
         preds.setdefault(dst, []).append(src)
-    live = set(adb.accepting)
-    stack = list(live)
-    while stack:
-        for src in preds.get(stack.pop(), ()):
-            if src not in live:
-                live.add(src)
-                stack.append(src)
-    return live
+    return _close(preds, adb.accepting)
 
 
 def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CAP):

@@ -9,7 +9,6 @@ epsilon transition carries the letter ``None``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import FrozenSet, Hashable, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import UnknownLocation, UnknownSymbol
@@ -60,11 +59,11 @@ def _edges(nfa: Nfa):
     return eps, letters
 
 
-def _close(eps, states: Iterable) -> frozenset:
+def _close(successors, states: Iterable) -> frozenset:
     closure = set(states)
     stack = list(closure)
     while stack:
-        for t in eps.get(stack.pop(), ()):
+        for t in successors.get(stack.pop(), ()):
             if t not in closure:
                 closure.add(t)
                 stack.append(t)
@@ -117,13 +116,10 @@ class SpecTable:
                     work.append(s)
         self.start = index[nfa.start]
         self.accepting = frozenset(i for i in range(n) if accept[i])
+        self.identity = frozenset((q, q) for q in range(n))
         self._rows = rows
         self._composed = {}
         self._images = {}
-
-    @cached_property
-    def identity(self) -> FrozenSet:
-        return frozenset((q, q) for q in range(len(self.names)))
 
     def after(self, states: Iterable[int], letter) -> FrozenSet[int]:
         """The states one ``letter`` after any of ``states``."""

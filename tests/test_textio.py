@@ -14,6 +14,8 @@ from adb import (
     parse_nfa,
     print_adb,
     print_nfa,
+    validate_adb,
+    validate_nfa,
 )
 from conftest import EXAMPLES, adbs, nfas
 
@@ -75,6 +77,51 @@ def test_parse_errors_carry_line_numbers():
             parse_adb("alphabet a\nlocations l0\nstart l0\naccept\n"
                       "trans l0 l0 out a %s\n" % delay)
         assert info.value.line == 5
+
+
+ADB_HEAD = "alphabet a\nlocations l0\nstart l0\naccept\n"
+NFA_HEAD = "alphabet a\nstates s0\nstart s0\naccept\n"
+NEEDS_DELAY = "out transition needs symbol and delay"
+MALFORMED = "malformed transition"
+TRANSITION_ERRORS = [
+    (parse_adb, ADB_HEAD + "trans l0 l0 out a", NEEDS_DELAY),
+    (parse_adb, ADB_HEAD + "trans l0 l0 out a 1 2", NEEDS_DELAY),
+    (parse_adb, ADB_HEAD + "trans l0 l0 eps x", MALFORMED),
+    (parse_adb, ADB_HEAD + "trans l0 l0 tick x", MALFORMED),
+    (parse_adb, ADB_HEAD + "trans l0 l0 on a", MALFORMED),
+    (parse_adb, ADB_HEAD + "trans l0 l0", MALFORMED),
+    (parse_adb, ADB_HEAD + "trans l0 l0 out a% 1", "invalid symbol: 'a%'"),
+    (parse_adb, ADB_HEAD + "trans l0 l0 out a x", "bad delay 'x'"),
+    (parse_adb, ADB_HEAD + "trans l0 l0 out a -1", "negative delay"),
+    (parse_adb, ADB_HEAD + "bogus l0 l0 eps", "expected trans line, got 'bogus'"),
+    (parse_nfa, NFA_HEAD + "trans s0 s0 out a 0", MALFORMED),
+    (parse_nfa, NFA_HEAD + "trans s0 s0 tick", MALFORMED),
+    (parse_nfa, NFA_HEAD + "trans s0 s0 on", MALFORMED),
+    (parse_nfa, NFA_HEAD + "trans s0 s0 on a b", MALFORMED),
+    (parse_nfa, NFA_HEAD + "trans s0 s0 eps x", MALFORMED),
+    (parse_nfa, NFA_HEAD + "trans s0", MALFORMED),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", TRANSITION_ERRORS)
+def test_transition_errors_carry_line_numbers(parse, text, message):
+    for reader in (parse, parse_automaton):
+        with pytest.raises(ParseError) as info:
+            reader(text)
+        assert str(info.value) == "line 5: " + message
+        assert info.value.line == 5
+
+
+@pytest.mark.parametrize("build, show, parse", [
+    (validate_adb, print_adb, parse_adb),
+    (validate_nfa, print_nfa, parse_nfa),
+])
+def test_printed_lines_end_without_whitespace(build, show, parse):
+    for auto in (build(["q"], [], "q", ["q"], []), build(["q"], [], "q", [], [])):
+        text = show(auto)
+        assert all(line == line.rstrip() for line in text.splitlines())
+        assert parse(text) == auto
+        assert parse_automaton(text) == auto
 
 
 def test_adb_round_trip_on_corpus(corpus_adbs):
