@@ -110,9 +110,11 @@ def validate_adb(
         raise MissingStart()
     if start not in loc_set:
         raise UnknownLocation(start)
-    acc = frozenset(accepting)
-    for loc in acc - loc_set:
-        raise UnknownLocation(loc)
+    acc = tuple(accepting)
+    for loc in acc:  # the first unknown name in the order given
+        if loc not in loc_set:
+            raise UnknownLocation(loc)
+    acc = frozenset(acc)
 
     trans = set()
     for src, lab, dst in transitions:

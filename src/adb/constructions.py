@@ -20,7 +20,7 @@ import itertools
 
 from .automaton import Adb, validate_adb
 from .errors import BoundExceeded
-from .product import DEFAULT_STATE_CAP, check_alphabet
+from .product import DEFAULT_STATE_CAP, _live, check_alphabet
 from .regular import Nfa, SpecTable
 from .words import EPS, TICK, Out
 
@@ -136,9 +136,11 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Adb:
     guess; guess tuples are enumerated there and at each tick, never
     materialized up front.  A location accepts when its automaton location
     and last slot accept and every other slot ended at the next one's
-    guess.  Only locations reachable from the initial one are materialized.
-    The untimed language of the result is the intersection of the
-    automaton's untimed language with the spec NFA's language.
+    guess.  Only locations reachable from the initial one are materialized,
+    and ``cap`` counts every one of them; the result then keeps only the
+    locations on an accepting path, and ``$init`` always.  The untimed
+    language of the result is the intersection of the automaton's untimed
+    language with the spec NFA's language.
     """
     check_alphabet(adb, spec)
     table = SpecTable(spec)
@@ -193,4 +195,8 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Adb:
                     nxt = (dst, slots[:d] + (q,) + slots[d + 1:], guesses)
                     transitions.append((src, label, visit(nxt)))
 
-    return validate_adb(locations, adb.alphabet, init, accepting, transitions)
+    # keep $init and the locations on an accepting path; a transition into
+    # one of those starts at one of them, as nothing enters $init
+    live = _live(transitions, accepting)
+    transitions = [t for t in transitions if t[2] in live]
+    return validate_adb(live | {init}, adb.alphabet, init, accepting, transitions)

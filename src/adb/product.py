@@ -40,13 +40,13 @@ def check_alphabet(adb: Adb, spec: Nfa) -> None:
         )
 
 
-def _live(adb: Adb) -> frozenset:
-    """The locations that can still reach an accepting one: a shortest
-    accepting path never leaves them."""
+def _live(transitions, accepting) -> frozenset:
+    """The locations that can still reach an accepting one over
+    ``transitions``: no accepting run leaves them."""
     preds = {}
-    for src, _, dst in adb.transitions:
+    for src, _, dst in transitions:
         preds.setdefault(dst, []).append(src)
-    return _close(preds, adb.accepting)
+    return _close(preds, accepting)
 
 
 def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CAP):
@@ -61,7 +61,7 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
     would hold more than ``cap`` states.
     """
     check_alphabet(adb, spec)
-    table, live = SpecTable(spec), _live(adb)
+    table, live = SpecTable(spec), _live(adb.transitions, adb.accepting)
     edges_from, final = adb.edges_from, adb.accepting
     identity, after = table.identity, table.after
     steps = {symbol: {} for symbol in adb.alphabet}  # after(), per letter and set

@@ -32,9 +32,11 @@ def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
     alpha = frozenset(alphabet)
     if start not in state_set:
         raise UnknownLocation(start)
-    acc = frozenset(accepting)
-    for s in acc - state_set:
-        raise UnknownLocation(s)
+    acc = tuple(accepting)
+    for s in acc:  # the first unknown name in the order given
+        if s not in state_set:
+            raise UnknownLocation(s)
+    acc = frozenset(acc)
     trans = set()
     for src, letter, dst in transitions:
         if src not in state_set:

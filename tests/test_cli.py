@@ -434,14 +434,15 @@ def run_process(*argv, env=None):
     return result.returncode, result.stdout, result.stderr
 
 
-def cycle_spec(tmp_path, k):
-    """A k-state cycle over a b c: its guess-tuple intersection with a1 has
-    thousands of locations."""
-    lines = ["alphabet a b c", "states " + " ".join("q%d" % i for i in range(k)),
-             "start q0", "accept q0"]
-    lines += ["trans q%d q%d on %s" % (i, (i + 1) % k, x)
-              for i in range(k) for x in "abc"]
-    path = tmp_path / "cycle.nfa"
+def cycle_adb(tmp_path, k):
+    """A k-location cycle that outputs a, b, c or d with delay 0-3 on each
+    step: 4k transitions, each of which its star prints."""
+    lines = ["alphabet a b c d",
+             "locations " + " ".join("l%d" % i for i in range(k)),
+             "start l0", "accept l0"]
+    lines += ["trans l%d l%d out %s %d" % (i, (i + 1) % k, x, d)
+              for i in range(k) for d, x in enumerate("abcd")]
+    path = tmp_path / "cycle.adb"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -478,7 +479,8 @@ def test_construct_output_ignores_hash_seed():
     # the constructions copy their inputs' transition sets unsorted, so the
     # printed text must not depend on set order
     a1, a3 = EXAMPLES / "a1.adb", EXAMPLES / "a3.adb"
-    for argv in (("concat", a3, a1), ("star", a3), ("union", a1, a3)):
+    for argv in (("concat", a3, a1), ("star", a3), ("union", a1, a3),
+                 ("intersect", a1, "--spec", EXAMPLES / "astar-bstar-cstar.nfa")):
         assert_ignores_hash_seed(("construct",) + argv, 0)
 
 
@@ -488,6 +490,15 @@ def test_witnesses_ignore_hash_seed():
     assert_ignores_hash_seed(("empty", EXAMPLES / "a3.adb"), 0)
     assert_ignores_hash_seed(("modelcheck", EXAMPLES / "a1.adb", "--spec",
                               EXAMPLES / "bstar-astar-cstar.nfa"), 1)
+
+
+@pytest.mark.parametrize("header", ["locations l0", "states l0"])
+def test_unknown_accepting_name_ignores_hash_seed(tmp_path, capsys, header):
+    # the first unknown accepting name in file order is the one reported
+    path = tmp_path / "bad"
+    path.write_text("alphabet a\n%s\nstart l0\naccept xa yb zc wd\n" % header)
+    assert_ignores_hash_seed(("validate", path), 2)
+    assert run(capsys, "validate", path)[2].endswith("unknown location: 'xa'\n")
 
 
 def test_out_of_memory_exits_3(tmp_path):
@@ -532,8 +543,7 @@ def test_out_of_memory_exits_3(tmp_path):
 
 
 def test_process_prints_long_output(tmp_path, capsys):
-    argv = ("construct", "intersect", EXAMPLES / "a1.adb",
-            "--spec", cycle_spec(tmp_path, 12))
+    argv = ("construct", "star", cycle_adb(tmp_path, 1000))
     expected = run(capsys, *argv)
     assert expected[0] == 0
     assert expected[1].count("\n") > 4000

@@ -24,7 +24,7 @@ from adb import (
     validate_adb,
     validate_nfa,
 )
-from conftest import adbs
+from conftest import adbs, nfas
 
 
 def shortest_runs(auto, budget):
@@ -133,6 +133,27 @@ def test_star_sample_law(a):
     assert untimed_sample(star(a), 6) == untimed_star_words(a, 6, per_iteration)
 
 
+@settings(max_examples=400, deadline=None)
+@given(adbs(), nfas())
+def test_intersect_sample_law(a, s):
+    # the product pays one eps step out of $init, and keeps no location
+    # but $init that cannot reach an accepting one
+    try:
+        prod = intersect_regular(a, s, cap=20_000)
+    except BoundExceeded:
+        return
+    assert untimed_sample(prod, 7) == {
+        w for w in untimed_sample(a, 6) if nfa_member(s, w)}
+    live, grew = set(prod.accepting), True
+    while grew:
+        grew = False
+        for src, _, dst in prod.transitions:
+            if dst in live and src not in live:
+                live.add(src)
+                grew = True
+    assert prod.locations - {"$init"} <= live
+
+
 def test_star_zero_delay_uses_eps():
     from adb import validate_adb
 
@@ -190,10 +211,11 @@ def test_intersect_regular_size_bound(a1, abc_blocks):
 
 
 def test_intersect_regular_cap(a1, abc_blocks):
-    # the product of a1 with a*b*c* has 39 locations, $init included
+    # the product of a1 with a*b*c* materializes 39 locations, $init
+    # included, and the cap counts them all; 8 are on an accepting path
     with pytest.raises(BoundExceeded):
         intersect_regular(a1, abc_blocks, cap=38)
-    assert len(intersect_regular(a1, abc_blocks, cap=39).locations) == 39
+    assert len(intersect_regular(a1, abc_blocks, cap=39).locations) == 8
 
 
 def test_intersect_regular_rejects_missing_symbols(a3, abc_blocks):
@@ -211,26 +233,21 @@ def test_intersection_untimed_equality(a1, aabbcc):
 
 def test_intersect_regular_names_spec_states_in_repr_order():
     # a spec state that is not a string is named r<i>, i its place in repr
-    # order: 0, 10, 2, so r1 is state 10, the one "a" reaches
+    # order: 0, 10, 2, so r1 is state 10, the one "a" reaches; the
+    # locations that guess r2 cannot accept and are trimmed
     auto = validate_adb(["l0", "l1"], ["a", "b"], "l0", ["l1"],
                         [("l0", Out("a", 1), "l1"), ("l1", TICK, "l1")])
     spec = validate_nfa([0, 2, 10], ["a", "b"], 0, [10],
                         [(0, "a", 10), (10, "b", 2)])
     assert print_adb(intersect_regular(auto, spec)) == """\
 alphabet a b
-locations $init l0|r0,r0|r0 l0|r0,r1|r1 l0|r0,r2|r2 l1|r0,r1|r0 l1|r1,r0|r0 l1|r1,r1|r1 l1|r1,r2|r2
+locations $init l0|r0,r0|r0 l1|r0,r1|r0 l1|r1,r1|r1
 start $init
 accept l1|r0,r1|r0 l1|r1,r1|r1
 trans $init l0|r0,r0|r0 eps
-trans $init l0|r0,r1|r1 eps
-trans $init l0|r0,r2|r2 eps
 trans l0|r0,r0|r0 l1|r0,r1|r0 out a 1
-trans l1|r0,r1|r0 l1|r1,r0|r0 tick
 trans l1|r0,r1|r0 l1|r1,r1|r1 tick
-trans l1|r0,r1|r0 l1|r1,r2|r2 tick
-trans l1|r1,r1|r1 l1|r1,r0|r0 tick
 trans l1|r1,r1|r1 l1|r1,r1|r1 tick
-trans l1|r1,r1|r1 l1|r1,r2|r2 tick
 """
 
 
