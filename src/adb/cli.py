@@ -136,13 +136,15 @@ def cmd_construct(args) -> int:
             "construct %s needs %d input file(s), got %d"
             % (args.op, wanted, len(args.inputs))
         )
+    if args.op == "intersect" and args.spec is None:
+        raise CliError("construct intersect needs --spec")
+    if args.op != "intersect" and args.spec is not None:
+        raise CliError("construct %s takes no --spec" % args.op)
     if args.op == "lift":
         result = constructions.lift_regular(_load(args.inputs[0], parse_nfa))
     elif args.op == "star":
         result = constructions.star(_load(args.inputs[0], parse_adb))
     elif args.op == "intersect":
-        if args.spec is None:
-            raise CliError("construct intersect needs --spec")
         result = constructions.intersect_regular(
             _load(args.inputs[0], parse_adb), _load(args.spec, parse_nfa), _cap()
         )

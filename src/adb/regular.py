@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Hashable, Iterable, NamedTuple, Sequence, Tuple
 
-from .errors import UnknownLocation, UnknownSymbol
+from .errors import DuplicateLocation, UnknownLocation, UnknownSymbol
 
 NfaTransition = Tuple[Hashable, Hashable, Hashable]  # (src, letter-or-None, dst)
 
@@ -27,8 +27,13 @@ class Nfa(NamedTuple):
 
 
 def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
-    """Check endpoint and letter validity, then freeze."""
-    state_set = frozenset(states)
+    """Check endpoint and letter validity, then freeze.  A repeated state
+    is rejected rather than collapsed, as ``validate_adb`` does."""
+    state_set = set()
+    for s in states:  # the first repeat in the order given
+        if s in state_set:
+            raise DuplicateLocation(s)
+        state_set.add(s)
     alpha = frozenset(alphabet)
     if start not in state_set:
         raise UnknownLocation(start)
@@ -46,7 +51,7 @@ def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
         if letter is not None and letter not in alpha:
             raise UnknownSymbol(letter)
         trans.add((src, letter, dst))
-    return Nfa(state_set, alpha, start, acc, frozenset(trans))
+    return Nfa(frozenset(state_set), alpha, start, acc, frozenset(trans))
 
 
 def _edges(nfa: Nfa):

@@ -159,31 +159,31 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
+def _pair(token: str, sep: str, expected: str, noun: str) -> Tuple[str, int]:
+    """Read a ``sym<sep>n`` token as ``(sym, n)``.  The number is checked
+    before the symbol; ``expected`` and ``noun`` word the errors."""
+    sym, found, number = token.partition(sep)
+    if not found or not number:
+        raise ParseError("expected %s, got %r" % (expected, token))
+    n = _decimal(number)
+    if n is None:
+        raise ParseError("bad %s in %r" % (noun, token))
+    if n < 0:
+        raise ParseError("negative %s in %r" % (noun, token))
+    try:
+        return check_symbol(sym), n
+    except InvalidSymbol:
+        raise ParseError("bad symbol in %r" % token) from None
+
+
 def parse_timed_word(text: str) -> TimedWord:
-    """Parse ``sym@t`` tokens, checking each letter once.  A malformed token
-    is reported before an earlier decreasing timestamp."""
-    letters = []
-    prev, decrease = 0, None
-    for token in text.split():
-        sym, sep, stamp = token.partition("@")
-        if not sep or not stamp:
-            raise ParseError("expected sym@t token, got %r" % token)
-        t = _decimal(stamp)
-        if t is None:
-            raise ParseError("bad timestamp in %r" % token)
-        if t < 0:
-            raise ParseError("negative timestamp in %r" % token)
-        try:
-            check_symbol(sym)
-        except InvalidSymbol:
-            raise ParseError("bad symbol in %r" % token) from None
-        if t < prev and decrease is None:
-            decrease = len(letters)
-        prev = t
-        letters.append((sym, t))
-    if decrease is not None:
-        raise ParseError("timestamps decrease at letter %d" % decrease)
-    return tuple(letters)
+    """Parse ``sym@t`` tokens.  A malformed token is reported before an
+    earlier decreasing timestamp."""
+    letters = [_pair(token, "@", "sym@t token", "timestamp") for token in text.split()]
+    try:
+        return validate_timed_word(letters)
+    except DecreasingTimestamp as exc:
+        raise ParseError("timestamps decrease at letter %d" % exc.index) from None
 
 
 def format_timed_word(w: Sequence[TimedLetter]) -> str:
@@ -213,18 +213,7 @@ def parse_labels(text: str) -> LabelSequence:
         elif token == "eps":
             labels.append(EPS)
         else:
-            sym, sep, delay = token.partition("/")
-            if not sep or not delay:
-                raise ParseError("expected sym/d, tick or eps, got %r" % token)
-            d = _decimal(delay)
-            if d is None:
-                raise ParseError("bad delay in %r" % token)
-            if d < 0:
-                raise ParseError("negative delay in %r" % token)
-            try:
-                labels.append(Out(sym, d))
-            except InvalidSymbol:
-                raise ParseError("bad symbol in %r" % token) from None
+            labels.append(Out(*_pair(token, "/", "sym/d, tick or eps", "delay")))
     return tuple(labels)
 
 

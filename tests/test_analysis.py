@@ -295,6 +295,32 @@ def test_member_untimed(a1, a3):
         member_untimed(a1, ("z",))
 
 
+@settings(max_examples=300, deadline=None)
+@given(adbs(), st.lists(st.lists(st.sampled_from(SYMBOLS), max_size=5), max_size=3))
+def test_member_untimed_laws(auto, words):
+    # law 1: every sampled word is a member; law 2: membership agrees with
+    # the guess-tuple product, which shares no search code with it
+    sample = untimed_sample(auto, 6, cap=20_000)
+    for u in sample:
+        assert member_untimed(auto, u)
+    for u in sample | {tuple(w) for w in words}:
+        try:
+            product = intersect_regular(
+                auto, single_word_nfa(u, auto.alphabet), cap=20_000)
+        except BoundExceeded:
+            continue
+        assert member_untimed(auto, u) == (not is_empty(product))
+
+
+def test_library_searches_read_no_state_cap(monkeypatch, a1, abc_blocks):
+    # each search below needs more than one state
+    monkeypatch.setenv("ADB_MAX_STATES", "1")
+    assert member_untimed(a1, ("a", "b", "c"))
+    assert member_timed(a1, parse_timed_word("a@0 b@1 c@2"))
+    assert model_check(a1, abc_blocks).holds
+    assert len(intersect_regular(a1, abc_blocks).locations) == 8
+
+
 def test_intersect_regular_empty_witness(a1, aabbcc, astar_b):
     hit = intersect_regular_empty(a1, aabbcc)
     assert hit is not None

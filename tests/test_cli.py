@@ -59,6 +59,13 @@ def test_validate_names_the_bad_line(tmp_path, capsys, name, transition, message
     assert run(capsys, "validate", path) == (2, "", "error: %s: %s\n" % (path, message))
 
 
+def test_validate_rejects_a_repeated_state(tmp_path, capsys):
+    path = tmp_path / "dup.nfa"
+    path.write_text("alphabet a\nstates s s\nstart s\naccept s\n")
+    assert run(capsys, "validate", path) == (
+        2, "", "error: %s: duplicate location: 's'\n" % path)
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.adb")
     assert code == 2
@@ -282,6 +289,17 @@ def test_construct_intersect_needs_spec(capsys):
     code, out, err = run(capsys, "construct", "intersect", EXAMPLES / "a1.adb")
     assert (code, out) == (2, "")
     assert err == "error: construct intersect needs --spec\n"
+
+
+@pytest.mark.parametrize("op, inputs", [
+    ("star", ["a1.adb"]), ("union", ["a1.adb", "a3.adb"]),
+    ("concat", ["a1.adb", "a1.adb"]), ("lift", ["astar-b.nfa"]),
+])
+def test_construct_takes_no_spec_but_intersect(capsys, op, inputs):
+    argv = [EXAMPLES / name for name in inputs]
+    # the spec is not read: a missing file is not what is reported
+    assert run(capsys, "construct", op, *argv, "--spec", "no-such-file.nfa") == (
+        2, "", "error: construct %s takes no --spec\n" % op)
 
 
 def test_construct_union_and_lift(tmp_path, capsys):

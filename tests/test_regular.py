@@ -38,7 +38,7 @@ def with_eps():
 
 
 def test_validate_nfa_errors():
-    from adb import UnknownLocation
+    from adb import DuplicateLocation, UnknownLocation
 
     with pytest.raises(UnknownLocation):
         validate_nfa(["s"], ["a"], "x", [], [])
@@ -50,6 +50,9 @@ def test_validate_nfa_errors():
         validate_nfa(["s"], ["a"], "s", [], [("s", "a", "x")])
     with pytest.raises(UnknownSymbol):
         validate_nfa(["s"], ["a"], "s", [], [("s", "z", "s")])
+    with pytest.raises(DuplicateLocation) as info:
+        validate_nfa(["s", 0, "t", 0, "s"], ["a"], "s", [], [])
+    assert info.value.name == 0  # the first repeat in the order given
 
 
 def test_eps_closure():

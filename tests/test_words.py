@@ -271,3 +271,37 @@ def test_parse_timed_word_reports_bad_token_before_earlier_decrease():
         parse_timed_word("a@2 b@1 z!@3")
     with pytest.raises(ParseError, match="at letter 1"):
         parse_timed_word("a@2 b@1 c@0")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # a token without its separator or its number
+    (parse_timed_word, "a", "expected sym@t token, got 'a'"),
+    (parse_timed_word, "a@", "expected sym@t token, got 'a@'"),
+    (parse_labels, "a", "expected sym/d, tick or eps, got 'a'"),
+    (parse_labels, "a/", "expected sym/d, tick or eps, got 'a/'"),
+    (parse_labels, "a@0", "expected sym/d, tick or eps, got 'a@0'"),
+    # the number is read before the symbol
+    (parse_timed_word, "a@x", "bad timestamp in 'a@x'"),
+    (parse_timed_word, "a@1@2", "bad timestamp in 'a@1@2'"),
+    (parse_timed_word, "%@x", "bad timestamp in '%@x'"),
+    (parse_timed_word, "%@-1", "negative timestamp in '%@-1'"),
+    (parse_timed_word, "%@0", "bad symbol in '%@0'"),
+    (parse_timed_word, "@0", "bad symbol in '@0'"),
+    (parse_timed_word, "tick@0", "bad symbol in 'tick@0'"),
+    (parse_labels, "a/x", "bad delay in 'a/x'"),
+    (parse_labels, "%/x", "bad delay in '%/x'"),
+    (parse_labels, "%/-1", "negative delay in '%/-1'"),
+    (parse_labels, "%/0", "bad symbol in '%/0'"),
+    (parse_labels, "tick/3", "bad symbol in 'tick/3'"),
+    (parse_labels, "eps/0", "bad symbol in 'eps/0'"),
+    # a bad token wins over an earlier decrease
+    (parse_timed_word, "a@2 b@1", "timestamps decrease at letter 1"),
+    (parse_timed_word, "a@2 b@1 c", "expected sym@t token, got 'c'"),
+    (parse_timed_word, "a@2 b@1 c@x", "bad timestamp in 'c@x'"),
+    (parse_timed_word, "a@2 b@1 %@3", "bad symbol in '%@3'"),
+    (parse_labels, "a/0 tick b", "expected sym/d, tick or eps, got 'b'"),
+])
+def test_word_parser_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
