@@ -5,9 +5,11 @@ Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
 to stdout, diagnostics to stderr.  Only :func:`_cap` reads the environment.
 
 A canonical command line is parsed straight from :data:`COMMANDS`; any
-other line, including ``--help`` and every usage error, goes to the
-argparse parser that :func:`build_parser` builds from the same table.  Each
-command imports the modules it runs, so a process loads only those.
+other line, including ``--help`` and every malformed line, goes to the
+argparse parser that :func:`build_parser` builds from the same table.
+Both only split a line and check its shape; each command checks the values
+it reads, and reports a bad one as a one-line ``error:``.  Each command
+imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ def _load(path: str, parse):
         return parse(text)
     except AdbError as exc:
         raise CliError("%s: %s" % (path, exc))
-
-
-def _nonnegative_int(text: str) -> int:
-    from .words import _decimal
-
-    value = _decimal(text)
-    if value is None or value < 0:
-        import argparse
-
-        raise argparse.ArgumentTypeError(
-            ("invalid int value: %r" if value is None else "must be nonnegative: %r")
-            % text
-        )
-    return value
 
 
 def _cap() -> int:
@@ -177,14 +165,19 @@ def cmd_construct(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import oracle
     from .textio import parse_adb
-    from .words import format_timed_word, format_untimed_word
+    from .words import _decimal, format_timed_word, format_untimed_word
 
+    bound = _decimal(args.max_transitions)
+    if bound is None or bound < 0:
+        problem = "invalid int value" if bound is None else "must be nonnegative"
+        raise CliError("argument --max-transitions: %s: %r"
+                       % (problem, args.max_transitions))
     auto = _load(args.path, parse_adb)
     if args.untimed:
         sample, fmt = oracle.untimed_sample, format_untimed_word
     else:
         sample, fmt = oracle.language_sample, format_timed_word
-    lines = map(fmt, sample(auto, args.max_transitions, _cap()))
+    lines = map(fmt, sample(auto, bound, _cap()))
     for line in sorted(lines, key=lambda s: (len(s.split()), s.split())):
         print(line)
     return EXIT_OK
@@ -231,7 +224,7 @@ COMMANDS = {
     ]),
     "enumerate": (cmd_enumerate, "list bounded-run language samples", [
         ("path", {}),
-        ("--max-transitions", {"type": _nonnegative_int, "required": True}),
+        ("--max-transitions", {"required": True}),
         ("--untimed", {"action": "store_true"}),
     ]),
     "oword": (cmd_oword, "evaluate a label string to a timed word", [
@@ -269,17 +262,9 @@ def build_parser():
 
 
 def _value(token: str, keywords):
-    """``token`` converted as argparse would, or ``None`` when argparse might
+    """``token`` as argparse would read it, or ``None`` when argparse might
     read it otherwise (it starts with ``-``) or would reject it."""
-    if token[:1] == "-":
-        return None
-    kind = keywords.get("type")
-    if kind is not None:
-        try:
-            token = kind(token)
-        except Exception:  # argparse reports it on its own parse
-            return None
-    if "choices" in keywords and token not in keywords["choices"]:
+    if token[:1] == "-" or token not in keywords.get("choices", (token,)):
         return None
     return token
 

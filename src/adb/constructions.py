@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .automaton import Adb, validate_adb
+from .automaton import _LOCATION_RE, Adb, validate_adb
 from .errors import BoundExceeded
 from .product import DEFAULT_STATE_CAP, _live, check_alphabet
 from .regular import Nfa, SpecTable
@@ -43,14 +43,20 @@ def _fresh(name: str, taken) -> str:
     return name
 
 
+def _is_name(state) -> bool:
+    """Whether an NFA state can name a location as it is."""
+    return isinstance(state, str) and _LOCATION_RE.match(state) is not None
+
+
 def lift_regular(nfa: Nfa) -> Adb:
     """View an NFA as a delay automaton: letters become zero-delay outputs,
     epsilon transitions stay, and no ticks are introduced.  A state that is
-    not a string is named ``q<repr>``, primed if that name is in use."""
-    names = {s: s for s in nfa.states if isinstance(s, str)}
+    not a location name is named ``q<repr>`` without its whitespace, primed
+    if that name is in use."""
+    names = {s: s for s in nfa.states if _is_name(s)}
     taken = set(names)
     for s in sorted(nfa.states - taken, key=repr):
-        names[s] = _fresh("q%r" % (s,), taken)
+        names[s] = _fresh("q" + "".join(repr(s).split()), taken)
         taken.add(names[s])
     transitions = []
     for src, letter, dst in nfa.transitions:
@@ -146,10 +152,8 @@ def intersect_regular(adb: Adb, spec: Nfa, cap=DEFAULT_STATE_CAP) -> Adb:
     table = SpecTable(spec)
     m = adb.max_delay
     # spec positions are the table's state numbers; a location names a
-    # state by itself when it is a string, else by its number
-    spec_names = [
-        s if isinstance(s, str) else "r%d" % i for i, s in enumerate(table.names)
-    ]
+    # state by itself when it is a location name, else by its number
+    spec_names = [s if _is_name(s) else "r%d" % i for i, s in enumerate(table.names)]
     spec_states = range(len(spec_names))
 
     init = "$init"

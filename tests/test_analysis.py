@@ -299,8 +299,10 @@ def test_member_untimed(a1, a3):
 @given(adbs(), st.lists(st.lists(st.sampled_from(SYMBOLS), max_size=5), max_size=3))
 def test_member_untimed_laws(auto, words):
     # law 1: every sampled word is a member; law 2: membership agrees with
-    # the guess-tuple product, which shares no search code with it
-    sample = untimed_sample(auto, 6, cap=20_000)
+    # the guess-tuple product, which shares no search code with it; at most
+    # 6 transitions give at most 6**0 + ... + 6**6 = 55,987 paths of up to 6
+    # steps, so the sample never hits its cap
+    sample = untimed_sample(auto, 6, cap=55_987)
     for u in sample:
         assert member_untimed(auto, u)
     for u in sample | {tuple(w) for w in words}:

@@ -351,7 +351,10 @@ def test_enumerate_negative_bound(capsys):
             capsys, "enumerate", EXAMPLES / "a1.adb", "--max-transitions", bound
         )
         assert (code, out) == (2, "")
-        assert err.endswith("--max-transitions: %s\n" % message)
+        assert err == "error: argument --max-transitions: %s\n" % message
+    # the bound is checked before the file is read
+    assert run(capsys, "enumerate", "no-such-file.adb", "--max-transitions", "1_0") \
+        == (2, "", "error: argument --max-transitions: invalid int value: '1_0'\n")
 
 
 def test_enumerate_untimed(capsys):
@@ -661,7 +664,8 @@ COMMAND_NAMES = list(cli.COMMANDS) + ["nope", "memb"]
 TOKENS = COMMAND_NAMES + [
     "--timed", "--untimed", "--spec", "--out", "--max-transitions", "--labels",
     "--unt", "--t", "--sp", "--o", "--max", "--lab", "--spec=x", "--timed=a@0",
-    "--max-transitions=3", "-h", "--help", "--", "-1", "-", "", "-a@0",
+    "--max-transitions=3", "-h", "--help", "--", "-1", "-0", "+3", "1_0",
+    "-", "", "-a@0",
     A1, SPEC, "a@0 b@1", "a b", "3", "0", "x", "union", "star", "intersect",
     "lift", "concat",
 ]

@@ -15,6 +15,7 @@ from adb import (
     language_sample,
     lift_regular,
     nfa_member,
+    parse_adb,
     print_adb,
     run_output,
     star,
@@ -190,6 +191,28 @@ def test_lift_regular_names_non_string_states_apart():
     assert lifted.locations == {"q0", "q0'", "q1"}
     assert lifted.start == "q0'"
     assert untimed_sample(lifted, 4) == {("a",), ("a", "b")}
+
+
+@pytest.mark.parametrize("first, second, lifted_names", [
+    ((0, 1), (1, 2), {"q(0,1)", "q(1,2)"}),
+    ("x y", "", {"q'xy'", "q''"}),
+])
+def test_constructions_name_states_that_are_not_location_names(
+    first, second, lifted_names
+):
+    # a tuple's repr holds a space, and "x y" and "" are no location names;
+    # both constructions mint names that a printed file reads back
+    auto = validate_adb(["l0", "l1"], ["a", "b"], "l0", ["l1"],
+                        [("l0", Out("a", 1), "l1"), ("l1", TICK, "l1")])
+    spec = validate_nfa([first, second], ["a", "b"], first, [second],
+                        [(first, "a", second), (second, "b", second)])
+    lifted = lift_regular(spec)
+    product = intersect_regular(auto, spec)
+    for built in (lifted, product):
+        assert parse_adb(print_adb(built)) == built
+    assert lifted.locations == lifted_names
+    assert untimed_sample(lifted, 3) == {("a",), ("a", "b"), ("a", "b", "b")}
+    assert untimed_sample(product, 4) == {("a",)}
 
 
 def test_intersect_regular_product(a1, abc_blocks, bac_blocks, sigma_star):
