@@ -52,12 +52,14 @@ def is_empty(adb: Adb) -> bool:
 def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     """Timed-word membership by breadth-first search, one clock at a time.
 
-    At clock ``c`` (the ticks taken) a state is ``(loc, counts)``: an
-    automaton location and the consumption counts of the word's stamps at or
-    after ``c``, packed into one int in base ``b``, one more than the most
-    letters any stamp holds, with digit ``i`` for the ``i``-th such stamp.
-    Only the stamps within the largest delay M of ``c`` can hold a count, so
-    ``power`` has ``min(M+1, stamps)`` entries and nothing grows with M.
+    At clock ``c`` (the ticks taken) a state is an automaton location and
+    the consumption counts of the word's stamps at or after ``c``, packed
+    into one int in base ``b``, one more than the most letters any stamp
+    holds, with digit ``i`` for the ``i``-th such stamp.  Only the stamps
+    within the largest delay M of ``c`` can hold a count, so ``power`` has
+    ``min(M+1, stamps)`` entries and nothing grows with M.  The state is
+    the one int ``counts * L + i``, where ``i`` is the location's index in
+    ``sorted(adb.locations)`` and ``L`` their number.
 
     An output with delay d must match the next unconsumed letter of stamp
     ``c+d`` and adds its power, and fails with no stamp there; it and eps
@@ -82,9 +84,23 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     b = max(sizes, default=0) + 1
     power = [b**i for i in range(min(adb.max_delay + 1, len(sizes)))]
 
-    accepting, edges_from, m = adb.accepting, adb.edges_from, adb.max_delay
+    # each location's outputs and eps (symbol None), then its ticks, in
+    # edges_from order
+    names = sorted(adb.locations)
+    n_locs, index = len(names), {loc: i for i, loc in enumerate(names)}
+    moves, ticks = [[] for _ in names], [[] for _ in names]
+    for i, loc in enumerate(names):
+        for label, dst in adb.edges_from(loc):
+            if label is TICK:
+                ticks[i].append(index[dst])
+            else:
+                moves[i].append((None, 0, index[dst]) if label is EPS
+                                else (label.symbol, label.delay, index[dst]))
+    accepting = [loc in adb.accepting for loc in names]
+
+    m = adb.max_delay
     clock, first, found = 0, 0, 1  # first: rank of the first stamp >= clock
-    seen = {(adb.start, 0): None}
+    seen = {index[adb.start]: None}
     while True:
         base, size = (b, sizes[first]) if clock in slots else (1, 0)
         full = None
@@ -94,19 +110,14 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
         last = clock > t_end
         ticked = seen if last else {}
         frontier = list(seen)
-        for loc, counts in frontier:
-            if loc in accepting and counts == full:
+        for state in frontier:
+            i = state % n_locs
+            here, counts = state - i, state // n_locs
+            if accepting[i] and counts == full:
                 return True
-            for label, dst in edges_from(loc):
-                into = seen
-                if label is EPS:
-                    state = (dst, counts)
-                elif label is TICK:
-                    if counts % base != size:
-                        continue
-                    state, into = (dst, counts // base), ticked
-                else:
-                    sym, d = label
+            for sym, d, j in moves[i]:
+                nxt = here + j
+                if sym is not None:
                     slot = slots.get(clock + d)
                     if slot is None:
                         continue
@@ -114,14 +125,24 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
                     p = power[rank - first]
                     if letters[counts // p % b] != sym:
                         continue
-                    state = (dst, counts + p)
-                if state not in into:
-                    into[state] = None
+                    nxt += p * n_locs
+                if nxt not in seen:
+                    seen[nxt] = None
                     found += 1
                     if found > cap:
                         raise BoundExceeded(cap)
-                    if into is seen:
-                        frontier.append(state)
+                    frontier.append(nxt)
+            if ticks[i] and counts % base == size:
+                shifted = counts // base * n_locs
+                for j in ticks[i]:
+                    nxt = shifted + j
+                    if nxt not in ticked:
+                        ticked[nxt] = None
+                        found += 1
+                        if found > cap:
+                            raise BoundExceeded(cap)
+                        if last:
+                            frontier.append(nxt)
         if last or not ticked:
             return False
         clock, first, seen = clock + 1, first + (base > 1), ticked

@@ -14,6 +14,7 @@ imports the modules it runs, so a process loads only those.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -348,12 +349,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: run :func:`main`, flush the output, then end
-    the process without the interpreter's teardown, which would only free
-    memory that the process is about to give back.  A flush that fails
-    exits through ``sys.exit``, so the interpreter reports the error as
-    usual; an exception out of ``main`` never gets here and keeps its
-    traceback."""
+    """The process entry point: run :func:`main` with the cyclic garbage
+    collector off, flush the output, then end the process without the
+    interpreter's teardown, which would only free memory that the process
+    is about to give back.  The searches build no reference cycles, so
+    collecting would only walk their states.  A flush that fails exits
+    through ``sys.exit``, so the interpreter reports the error as usual; an
+    exception out of ``main`` never gets here and keeps its traceback."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

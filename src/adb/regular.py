@@ -135,6 +135,8 @@ class SpecTable:
         if row is not None:
             for q in states:
                 mask |= row[q]
+        if not mask & (mask - 1):  # no state or one
+            return frozenset((mask.bit_length() - 1,)) if mask else frozenset()
         members = []
         while mask:
             low = mask & -mask

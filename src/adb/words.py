@@ -130,10 +130,12 @@ def oword(labels: Iterable[Label]) -> TimedWord:
 
 
 def validate_timed_word(letters: Sequence[TimedLetter]) -> TimedWord:
-    """Check letter validity and non-decreasing int timestamps."""
-    prev = 0
+    """Check letter validity and non-decreasing int timestamps.  Each
+    distinct symbol is checked once, at its first occurrence."""
+    prev, known = 0, set()
     for i, (sym, t) in enumerate(letters):
-        check_symbol(sym)
+        if type(sym) is not str or sym not in known:  # a list does not hash
+            known.add(check_symbol(sym))
         if not isinstance(t, int):
             raise TypeError("timestamp must be an int, got %r" % (t,))
         if t < prev:

@@ -284,6 +284,18 @@ def test_member_timed_cap_cuts_no_reachable_slot(d):
                 pass
 
 
+def test_member_timed_least_deciding_cap(a2):
+    # the search finds the same states in the same order as when a state was
+    # a (location, counts) tuple: the least cap that decides is pinned
+    golden = parse_timed_word("a@0 a@0 b@1 b@1 c@2 c@2 a@2 b@3 c@4 a@6 b@7 c@8")
+    auto, w = cycles(2, [0, 3, 7])
+    for adb, word, least, want in ((a2, golden, 19, True), (auto, w, 14, True),
+                                   (auto, w[:-1], 12, False)):
+        with pytest.raises(BoundExceeded):
+            member_timed(adb, word, cap=least - 1)
+        assert member_timed(adb, word, cap=least) is want
+
+
 def test_member_untimed(a1, a3):
     assert member_untimed(a1, ())
     assert member_untimed(a1, ("a", "b", "c"))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -597,8 +598,12 @@ def test_run_flushes_then_exits_without_teardown(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     monkeypatch.setattr(sys, "stderr", err)
     monkeypatch.setattr(os, "_exit", fake_exit)
-    with pytest.raises(Exited):
-        cli.run()
+    try:
+        with pytest.raises(Exited):
+            cli.run()
+        assert not gc.isenabled()  # the process never collects cycles
+    finally:
+        gc.enable()
     assert exits == [(1, "NOT MEMBER\n", 1, 1)]
 
 
@@ -607,8 +612,11 @@ def test_run_falls_back_to_sys_exit_when_flush_fails(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["adb", "validate", str(EXAMPLES / "a1.adb")])
     monkeypatch.setattr(sys, "stdout", CountingFlush(fail=True))
     monkeypatch.setattr(os, "_exit", exits.append)
-    with pytest.raises(SystemExit) as exc:
-        cli.run()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+    finally:
+        gc.enable()
     assert exc.value.code == 0
     assert exits == []
 

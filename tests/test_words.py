@@ -24,6 +24,7 @@ from adb import (
     untime,
     validate_timed_word,
 )
+from adb.words import check_symbol
 
 
 def test_out_label_validation():
@@ -104,6 +105,23 @@ def test_validate_timed_word_rejects_decrease():
         validate_timed_word((("a", 2), ("b", 1)))
     with pytest.raises(DecreasingTimestamp):
         validate_timed_word((("a", -1),))
+
+
+def test_validate_timed_word_rejects_the_first_bad_symbol():
+    # each distinct symbol is checked once, so repeats of good symbols come
+    # first; the bad symbol raises at its first occurrence, before the
+    # decreasing stamp after it, with the error check_symbol raises
+    good = (("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 1))
+    for bad in ("a b", "tick", "", ["a"]):
+        word = good + ((bad, 2), ("a", 3), (bad, 1))
+        with pytest.raises(InvalidSymbol) as exc:
+            validate_timed_word(word)
+        with pytest.raises(InvalidSymbol) as want:
+            check_symbol(bad)
+        assert str(exc.value) == str(want.value)
+        assert exc.value.args == want.value.args
+    repeated = good + tuple((sym, 2) for sym, _ in good)
+    assert validate_timed_word(repeated) == repeated
 
 
 def test_validate_timed_word_rejects_non_int_stamp():
