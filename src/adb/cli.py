@@ -1,7 +1,8 @@
 """The ``adb`` command line front end.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
-3 bound exceeded (the state cap ``ADB_MAX_STATES`` or memory).  Results go
+3 bound exceeded (the state cap ``ADB_MAX_STATES`` or memory), 4 internal
+error (a counterexample that fails its own re-verification).  Results go
 to stdout, diagnostics to stderr.  Only :func:`_cap` reads the environment.
 
 A canonical command line is parsed straight from :data:`COMMANDS`; any
@@ -19,12 +20,13 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import AdbError, BoundExceeded
+from .errors import AdbError, BoundExceeded, InternalVerificationFailure
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(AdbError):
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
+    except InternalVerificationFailure as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except AdbError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -15,15 +15,12 @@ slots flush, so the spec states the run's untimed output reaches are
 reach an accepting one are never taken.
 
 Spec states are the state numbers of a :class:`~adb.regular.SpecTable`, so
-a set is a frozenset of ints and a relation a frozenset of int pairs.  The
-search numbers each spec side ``(current, pending)`` the first time it
-reaches it and decides the side's acceptance then, numbers the locations in
-the order it reaches them, and holds a state as the int ``number * L + i``
-for side ``number`` at location ``i`` of ``L``.  Each label's step is
-memoized per side number, one dict per label; eps keeps the number, and so
-does a tick with nothing pending.  The table memoizes compositions and
-images, so a search computes each one once and equal sets are shared
-objects, which compare by identity.
+a set is a frozenset of ints and a relation a frozenset of int pairs, and a
+product state is the tuple ``(location, current, pending)``.  Each
+location's edges into live locations are listed on its first expansion,
+each delay-0 output with its letter's step memo, keyed by ``current``.  The
+table memoizes compositions and images, so a search computes each one once
+and equal sets are shared objects, which compare by identity.
 """
 
 from __future__ import annotations
@@ -69,84 +66,66 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
     table, live = SpecTable(spec), _live(adb.transitions, adb.accepting)
     identity, after = table.identity, table.after
     compose, image, spec_final = table.compose, table.image, table.accepting
-    final, n_locs = adb.accepting, len(adb.locations)
-    names, index = [adb.start], {adb.start: 0}  # numbered as first reached
-    # per location number, once expanded: (label, its steps or None for eps,
-    # the target's number, whether it accepts) for each edge into a live one
-    moves = [None]
-    steps = {}  # per label: spec side number -> successor's number, or -1
-    sides, numbers, accepts = [], {}, []
+    final = adb.accepting
+    steps = {}  # per letter: current set -> the set one delay-0 output on
+    # per location, once expanded: (label, its letter's steps for a delay-0
+    # output or None, target, whether it accepts) per edge into a live one
+    moves = {}
 
-    def number(current, pending) -> int:
-        """The spec side's number; a new side's acceptance is found once."""
-        side = (current, pending)
-        n = numbers.get(side)
-        if n is None:
-            n = numbers[side] = len(sides)
-            sides.append(side)
-            for _, relation in pending:
-                current = image(current, relation)
-            accepts.append(bool(current & spec_final) == hit)
-        return n
+    def accepts(current, pending) -> bool:
+        for _, relation in pending:
+            current = image(current, relation)
+        return bool(current & spec_final) == hit
 
-    # a state is its spec side's number times n_locs plus its location's number
-    start = number(frozenset({table.start}), ()) * n_locs
+    start = (adb.start, frozenset({table.start}), ())
     parent = {start: None}
-    goal = start if adb.start in final and accepts[0] else None
+    goal = start if adb.start in final and accepts(start[1], ()) else None
     frontier = [start]
     for state in frontier:
         if goal is not None:
             break
-        n, i = divmod(state, n_locs)
-        out = moves[i]
+        loc, current, pending = state
+        out = moves.get(loc)
         if out is None:
-            out = moves[i] = []
-            for label, dst in adb.edges_from(names[i]):
+            out = moves[loc] = []
+            for label, dst in adb.edges_from(loc):
                 if dst in live:
-                    j = index.setdefault(dst, len(names))
-                    if j == len(names):
-                        names.append(dst)
-                        moves.append(None)
-                    memo = None if label is EPS else steps.setdefault(label, {})
-                    out.append((label, memo, j, dst in final))
-        for label, memo, j, accepting in out:
-            m = n
+                    instant = label is not EPS and label is not TICK and not label[1]
+                    memo = steps.setdefault(label[0], {}) if instant else None
+                    out.append((label, memo, dst, dst in final))
+        for label, memo, dst, accepting in out:
+            cur, pend = current, pending
             if memo is not None:
-                m = memo.get(n)
-            if m is None:
-                current, pending = sides[n]
-                if label is TICK:
-                    if pending:
-                        if pending[0][0] == 1:
-                            current = image(current, pending[0][1])
-                            pending = pending[1:]
-                        pending = tuple([(k - 1, relation) for k, relation in pending])
-                else:
-                    symbol, d = label
-                    if d == 0:
-                        current = after(current, symbol)
-                    else:
-                        k = 0
-                        while k < len(pending) and pending[k][0] < d:
-                            k += 1
-                        end = k + (k < len(pending) and pending[k][0] == d)
-                        relation = compose(pending[k][1] if end > k else identity,
-                                           symbol)
-                        if hit and not relation:  # the image is empty from here on
-                            current = relation  # so the side is pruned below
-                        entry = () if relation == identity else ((d, relation),)
-                        pending = pending[:k] + entry + pending[end:]
-                m = memo[n] = -1 if hit and not current else number(current, pending)
-            if m < 0:
+                cur = memo.get(current)
+                if cur is None:
+                    cur = memo[current] = after(current, label[0])
+            elif label is TICK:
+                if pend:
+                    if pend[0][0] == 1:
+                        cur = image(cur, pend[0][1])
+                        pend = pend[1:]
+                    pend = tuple([(k - 1, relation) for k, relation in pend])
+            elif label is not EPS:
+                symbol, d = label
+                i = 0
+                while i < len(pend) and pend[i][0] < d:
+                    i += 1
+                j = i + (i < len(pend) and pend[i][0] == d)
+                relation = compose(pend[i][1] if j > i else identity, symbol)
+                if hit and not relation:
+                    continue  # the image is empty from here on
+                entry = () if relation == identity else ((d, relation),)
+                pend = pend[:i] + entry + pend[j:]
+            if hit and not cur:
                 continue
-            nxt = m * n_locs + j
+            nxt = (dst, cur, pend)
             if nxt in parent:
                 continue
             parent[nxt] = (state, label)
             if len(parent) > cap:
                 raise BoundExceeded(cap)
             frontier.append(nxt)
-            if accepting and accepts[m]:
+            if accepting and accepts(cur, pend):
                 goal = nxt
                 break
     if goal is None:
@@ -154,6 +133,6 @@ def search_accepting(adb: Adb, spec: Nfa, hit: bool = True, cap=DEFAULT_STATE_CA
     path = []
     while parent[goal] is not None:
         prev, label = parent[goal]
-        path.append((label, names[goal % n_locs]))
+        path.append((label, goal[0]))
         goal = prev
     return tuple(reversed(path)), len(parent)

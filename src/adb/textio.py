@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .automaton import Adb, validate_adb
-from .errors import AdbError, ParseError
+from .automaton import Adb, check_location, validate_adb
+from .errors import AdbError, InvalidSymbol, ParseError, UnknownLocation
 from .regular import Nfa, validate_nfa
 from .words import EPS, TICK, Out, _decimal, format_label, label_key
 
@@ -133,6 +133,16 @@ def parse_nfa(text: str) -> Nfa:
 
 
 def print_nfa(nfa: Nfa) -> str:
+    """Raises ``UnknownLocation`` for a state and ``InvalidSymbol`` for a
+    letter that is not one token, the first in ``repr`` order, since the
+    text would not read back."""
+    for state in sorted(nfa.states, key=repr):
+        check_location(state)
+    for letter in sorted(nfa.alphabet, key=repr):
+        try:
+            check_location(letter)
+        except UnknownLocation:
+            raise InvalidSymbol(letter) from None
     return _print(nfa, "states", lambda letter: (letter is None, letter or ""),
                   lambda letter: "eps" if letter is None else "on %s" % (letter,))
 

@@ -142,6 +142,19 @@ def test_modelcheck(capsys):
     assert out.splitlines() == ["FAILS", "a b c"]
 
 
+def test_modelcheck_unverified_counterexample_exits_4(capsys, monkeypatch):
+    # a spec that accepts every word fails the counterexample's re-check
+    import adb.analysis
+
+    monkeypatch.setattr(adb.analysis, "nfa_member", lambda nfa, word: True)
+    code, out, err = run(
+        capsys, "modelcheck", EXAMPLES / "a1.adb",
+        "--spec", EXAMPLES / "bstar-astar-cstar.nfa",
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: counterexample ('a', 'b', 'c') failed verification\n"
+
+
 def test_modelcheck_alphabet_mismatch(capsys):
     code, _, err = run(
         capsys, "modelcheck", EXAMPLES / "a3.adb",

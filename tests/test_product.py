@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,3 +208,25 @@ def test_search_holds_no_slot_per_delay():
     assert near[0] == (Out("a", 3), Out("b", 0))
     assert far[0] == (Out("a", 10**12), Out("b", 0))
     assert far[2] == near[2]
+
+
+def test_search_matches_reference_on_the_letter_ladder():
+    # one location outputs a and b at every delay 0..M and ticks: untimed
+    # membership of seeded 8-letter words reaches 98 to 7,840 states with
+    # several offsets pending; the non-member variant ends in l1 after one
+    # c/0, so the word u c c is never output
+    rng = random.Random(8)
+    for m in (1, 2):
+        edges = [("l0", Out(s, d), "l0") for s in "ab" for d in range(m + 1)]
+        edges.append(("l0", TICK, "l0"))
+        ladder = validate_adb(["l0"], ["a", "b"], "l0", ["l0"], edges)
+        cut = validate_adb(["l0", "l1"], ["a", "b", "c"], "l0", ["l1"],
+                           edges + [("l0", Out("c", 0), "l1")])
+        for _ in range(3):
+            u = tuple(rng.choice("ab") for _ in range(8))
+            for auto, word in ((ladder, u), (cut, u + ("c", "c"))):
+                spec = single_word_nfa(word, auto.alphabet)
+                _, count = reference_search(auto, spec, True, 10**6)
+                for cap in (10**6, count - 1):
+                    assert outcome(search_accepting, auto, spec, True, cap) == (
+                        outcome(reference_search, auto, spec, True, cap))

@@ -6,14 +6,17 @@ from adb import (
     EPS,
     TICK,
     Adb,
+    InvalidSymbol,
     Nfa,
     Out,
     ParseError,
+    UnknownLocation,
     parse_adb,
     parse_automaton,
     parse_nfa,
     print_adb,
     print_nfa,
+    single_word_nfa,
     validate_adb,
     validate_nfa,
 )
@@ -135,6 +138,24 @@ def test_adb_round_trip_on_corpus(corpus_adbs):
 def test_nfa_round_trip_on_corpus(corpus_nfas):
     for name, nfa in corpus_nfas.items():
         assert parse_nfa(print_nfa(nfa)) == nfa
+
+
+@pytest.mark.parametrize("nfa, error", [
+    (single_word_nfa(("a", "b"), {"a", "b"}), UnknownLocation),  # int states
+    (validate_nfa(["q", "x y"], ["a"], "x y", [], []), UnknownLocation),
+    (validate_nfa(["q"], ["a", "b c"], "q", [], []), InvalidSymbol),
+])
+def test_print_nfa_refuses_what_would_not_read_back(nfa, error):
+    with pytest.raises(error):
+        print_nfa(nfa)
+
+
+def test_nfa_examples_round_trip():
+    for path in sorted(EXAMPLES.glob("*.nfa")):
+        nfa = parse_nfa(path.read_text())
+        text = print_nfa(nfa)
+        assert parse_nfa(text) == nfa
+        assert print_nfa(parse_nfa(text)) == text
 
 
 def test_parse_nfa_eps():
