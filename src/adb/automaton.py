@@ -9,7 +9,6 @@ from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from . import regular
 from .errors import (
-    DuplicateLocation,
     InvalidStep,
     InvalidSymbol,
     MissingStart,
@@ -35,8 +34,13 @@ _LOCATION_RE = re.compile(r"\S+\Z")
 Transition = Tuple[str, Label, str]
 
 
+def _is_name(x) -> bool:
+    """Whether ``x`` is a location name: one whitespace-free token."""
+    return isinstance(x, str) and _LOCATION_RE.match(x) is not None
+
+
 def check_location(name: str) -> str:
-    if not isinstance(name, str) or not _LOCATION_RE.match(name):
+    if not _is_name(name):
         raise UnknownLocation(name)
     return name
 
@@ -94,11 +98,7 @@ def validate_adb(
     ``locations`` may contain duplicates only by mistake; they are rejected
     rather than collapsed so that text-format typos surface early.
     """
-    loc_set = set()
-    for loc in locations:
-        if check_location(loc) in loc_set:
-            raise DuplicateLocation(loc)
-        loc_set.add(loc)
+    loc_set = regular._distinct(map(check_location, locations))
 
     alpha = set()
     for sym in alphabet:
@@ -108,13 +108,7 @@ def validate_adb(
 
     if not start:
         raise MissingStart()
-    if start not in loc_set:
-        raise UnknownLocation(start)
-    acc = tuple(accepting)
-    for loc in acc:  # the first unknown name in the order given
-        if loc not in loc_set:
-            raise UnknownLocation(loc)
-    acc = frozenset(acc)
+    acc = regular._known(loc_set, start, accepting)
 
     trans = set()
     for src, lab, dst in transitions:

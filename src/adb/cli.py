@@ -1,7 +1,7 @@
 """The ``adb`` command line front end.
 
-Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error,
-3 bound exceeded (the state cap ``ADB_MAX_STATES`` or memory), 4 internal
+Exit codes: 0 positive verdict, 1 negative verdict, 2 usage/parse error or
+unwritable output, 3 bound exceeded (the state cap or memory), 4 internal
 error (a counterexample that fails its own re-verification).  Results go
 to stdout, diagnostics to stderr.  Only :func:`_cap` reads the environment.
 
@@ -143,7 +143,7 @@ def cmd_construct(args) -> int:
         build = constructions.union if args.op == "union" else constructions.concat
         result = build(*(_load(path, parse_adb) for path in args.inputs))
     text = print_adb(result)
-    if args.out:
+    if args.out is not None:
         import stat
 
         # written in place, then cut: truncating to zero first can block on
@@ -358,16 +358,19 @@ def run() -> None:
     collector off, flush the output, then end the process without the
     interpreter's teardown, which would only free memory that the process
     is about to give back.  The searches build no reference cycles, so
-    collecting would only walk their states.  A flush that fails exits
-    through ``sys.exit``, so the interpreter reports the error as usual; an
-    exception out of ``main`` never gets here and keeps its traceback."""
+    collecting would only walk their states.  Unwritable output is one
+    ``error:`` line and exit 2; other exceptions keep their traceback."""
     gc.disable()
-    code = main()
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        code = EXIT_USAGE
+        try:
+            print("error: cannot write output: %s" % exc, file=sys.stderr)
+        except OSError:
+            pass
     os._exit(code)
 
 

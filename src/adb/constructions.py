@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .automaton import _LOCATION_RE, Adb, validate_adb
+from .automaton import Adb, _is_name, validate_adb
 from .errors import BoundExceeded
 from .product import DEFAULT_STATE_CAP, _live, check_alphabet
 from .regular import Nfa, SpecTable
@@ -41,11 +41,6 @@ def _fresh(name: str, taken) -> str:
     while name in taken:
         name += "'"
     return name
-
-
-def _is_name(state) -> bool:
-    """Whether an NFA state can name a location as it is."""
-    return isinstance(state, str) and _LOCATION_RE.match(state) is not None
 
 
 def lift_regular(nfa: Nfa) -> Adb:

@@ -26,22 +26,32 @@ class Nfa(NamedTuple):
     transitions: FrozenSet[NfaTransition]
 
 
-def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
-    """Check endpoint and letter validity, then freeze.  A repeated state
-    is rejected rather than collapsed, as ``validate_adb`` does."""
-    state_set = set()
-    for s in states:  # the first repeat in the order given
-        if s in state_set:
-            raise DuplicateLocation(s)
-        state_set.add(s)
-    alpha = frozenset(alphabet)
-    if start not in state_set:
+def _distinct(names) -> set:
+    """The set of ``names``; ``DuplicateLocation`` at the first repeat."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateLocation(name)
+        seen.add(name)
+    return seen
+
+
+def _known(names, start, accepting) -> frozenset:
+    """Frozen ``accepting``; ``UnknownLocation`` for the first unknown name."""
+    if start not in names:
         raise UnknownLocation(start)
     acc = tuple(accepting)
-    for s in acc:  # the first unknown name in the order given
-        if s not in state_set:
-            raise UnknownLocation(s)
-    acc = frozenset(acc)
+    for name in acc:
+        if name not in names:
+            raise UnknownLocation(name)
+    return frozenset(acc)
+
+
+def validate_nfa(states, alphabet, start, accepting, transitions) -> Nfa:
+    """Check repeats, endpoints and letters, then freeze, as ``validate_adb`` does."""
+    state_set = _distinct(states)
+    alpha = frozenset(alphabet)
+    acc = _known(state_set, start, accepting)
     trans = set()
     for src, letter, dst in transitions:
         if src not in state_set:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .automaton import Adb, check_location, validate_adb
-from .errors import AdbError, InvalidSymbol, ParseError, UnknownLocation
+from .automaton import Adb, _is_name, check_location, validate_adb
+from .errors import AdbError, InvalidSymbol, ParseError
 from .regular import Nfa, validate_nfa
 from .words import EPS, TICK, Out, _decimal, format_label, label_key
 
@@ -139,10 +139,8 @@ def print_nfa(nfa: Nfa) -> str:
     for state in sorted(nfa.states, key=repr):
         check_location(state)
     for letter in sorted(nfa.alphabet, key=repr):
-        try:
-            check_location(letter)
-        except UnknownLocation:
-            raise InvalidSymbol(letter) from None
+        if not _is_name(letter):
+            raise InvalidSymbol(letter)
     return _print(nfa, "states", lambda letter: (letter is None, letter or ""),
                   lambda letter: "eps" if letter is None else "on %s" % (letter,))
 

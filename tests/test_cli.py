@@ -193,6 +193,15 @@ def test_construct_out_directory(tmp_path, capsys):
     assert err.startswith("error: cannot write ")
 
 
+def test_construct_out_empty_path(capsys):
+    # an empty --out is a path that cannot be opened, not a missing --out
+    code, out, err = run(
+        capsys, "construct", "star", EXAMPLES / "a1.adb", "--out", ""
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write : ")
+
+
 def star_a1(capsys):
     code, out, _ = run(capsys, "construct", "star", EXAMPLES / "a1.adb")
     assert code == 0
@@ -455,16 +464,18 @@ def test_cli_import_skips_dataclasses():
     assert result.stdout.strip() == "False"
 
 
-def run_process(*argv, env=None):
+def run_process(*argv, env=None, stdout=subprocess.PIPE):
     """``python -m adb.cli`` as its own process, with ``src`` on the path."""
     src = str(EXAMPLES.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **(env or {}))
-    # block-buffered output, so whatever the process does not flush is lost
-    env.pop("PYTHONUNBUFFERED", None)
+    environ = dict(os.environ, PYTHONPATH=path)
+    # block-buffered output unless ``env`` asks otherwise, so whatever the
+    # process does not flush is lost
+    environ.pop("PYTHONUNBUFFERED", None)
+    environ.update(env or {})
     result = subprocess.run(
         [sys.executable, "-m", "adb.cli"] + [str(a) for a in argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=environ, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -620,18 +631,37 @@ def test_run_flushes_then_exits_without_teardown(monkeypatch):
     assert exits == [(1, "NOT MEMBER\n", 1, 1)]
 
 
-def test_run_falls_back_to_sys_exit_when_flush_fails(monkeypatch):
-    exits = []
+def test_run_exits_2_when_flush_fails(monkeypatch):
+    err, exits = io.StringIO(), []
     monkeypatch.setattr(sys, "argv", ["adb", "validate", str(EXAMPLES / "a1.adb")])
     monkeypatch.setattr(sys, "stdout", CountingFlush(fail=True))
+    monkeypatch.setattr(sys, "stderr", err)
     monkeypatch.setattr(os, "_exit", exits.append)
     try:
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
+        cli.run()
     finally:
         gc.enable()
-    assert exc.value.code == 0
-    assert exits == []
+    assert exits == [2]
+    assert err.getvalue() == "error: cannot write output: flush failed\n"
+
+
+@pytest.mark.parametrize("long, env", [
+    (False, {}), (False, {"PYTHONUNBUFFERED": "1"}), (True, {}),
+], ids=["flush", "unbuffered", "long"])
+def test_process_exits_2_when_stdout_is_closed(tmp_path, long, env):
+    if long:  # more than a buffer of output, so a write inside main fails
+        argv = ("construct", "star", cycle_adb(tmp_path, 1000))
+    else:
+        argv = ("member", EXAMPLES / "a1.adb", "--untimed", "a b c")
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the process writes
+    try:
+        code, _, err = run_process(*argv, env=env, stdout=write)
+    finally:
+        os.close(write)
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,25 @@ def test_validate_nfa_errors():
     assert info.value.name == 0  # the first repeat in the order given
 
 
+TOKENS = st.text("ab$'", min_size=1, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TOKENS, max_size=6), TOKENS, st.lists(TOKENS, max_size=4))
+def test_validators_report_the_same_structural_error(names, start, accepting):
+    from adb import AdbError, validate_adb
+
+    outcomes = []
+    for validate in (validate_adb, validate_nfa):
+        try:
+            auto = validate(names, [], start, accepting, [])
+        except AdbError as exc:
+            outcomes.append((type(exc), exc.name))
+        else:  # the location or state set comes first in both tuples
+            outcomes.append((auto[0], auto.accepting))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_eps_closure():
     nfa = with_eps()
     assert eps_closure(nfa, {"p"}) == frozenset({"p", "q"})
