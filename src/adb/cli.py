@@ -27,6 +27,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_INTERNAL = 4
+_EXIT_CODES = {BoundExceeded: EXIT_BOUND, InternalVerificationFailure: EXIT_INTERNAL}
 
 
 class CliError(AdbError):
@@ -339,18 +340,12 @@ def main(argv=None) -> int:
             return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except BoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BOUND
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
-    except InternalVerificationFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
     except AdbError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 def run() -> None:
@@ -358,10 +353,15 @@ def run() -> None:
     collector off, flush the output, then end the process without the
     interpreter's teardown, which would only free memory that the process
     is about to give back.  The searches build no reference cycles, so
-    collecting would only walk their states.  Unwritable output is one
-    ``error:`` line and exit 2; other exceptions keep their traceback."""
+    collecting would only walk their states.  Unwritable or closed stdout
+    is one ``error:`` line and exit 2; a closed stderr only drops the
+    diagnostics.  Other exceptions keep their traceback."""
     gc.disable()
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         code = main()
         sys.stdout.flush()
         sys.stderr.flush()

@@ -15,63 +15,58 @@ class ParseError(AdbError):
         self.line = line
 
 
-class InvalidSymbol(AdbError):
-    def __init__(self, name):
-        super().__init__("invalid symbol: %r" % (name,))
-        self.name = name
+class _OneValueError(AdbError):
+    """An error about one value: its message is ``template % (value,)``, and
+    the value is kept in the attribute named by ``field``."""
+
+    field = "name"
+
+    def __init__(self, value):
+        super().__init__(self.template % (value,))
+        setattr(self, self.field, value)
 
 
-class ReservedSymbol(AdbError):
-    def __init__(self, name):
-        super().__init__("reserved symbol used as output symbol: %r" % (name,))
-        self.name = name
+class InvalidSymbol(_OneValueError):
+    template = "invalid symbol: %r"
 
 
-class DecreasingTimestamp(AdbError):
-    def __init__(self, index):
-        super().__init__("timestamp decreases at letter %d" % index)
-        self.index = index
+class ReservedSymbol(_OneValueError):
+    template = "reserved symbol used as output symbol: %r"
 
 
-class UnknownLocation(AdbError):
-    def __init__(self, name):
-        super().__init__("unknown location: %r" % (name,))
-        self.name = name
+class DecreasingTimestamp(_OneValueError):
+    template, field = "timestamp decreases at letter %d", "index"
 
 
-class DuplicateLocation(AdbError):
-    def __init__(self, name):
-        super().__init__("duplicate location: %r" % (name,))
-        self.name = name
+class UnknownLocation(_OneValueError):
+    template = "unknown location: %r"
+
+
+class DuplicateLocation(_OneValueError):
+    template = "duplicate location: %r"
 
 
 class MissingStart(AdbError):
-    def __init__(self, message="no start location declared"):
-        super().__init__(message)
+    def __init__(self):
+        super().__init__("no start location declared")
 
 
-class InvalidStep(AdbError):
-    def __init__(self, index):
-        super().__init__("run step %d is not a transition of the automaton" % index)
-        self.index = index
+class InvalidStep(_OneValueError):
+    template, field = "run step %d is not a transition of the automaton", "index"
 
 
-class UnknownSymbol(AdbError):
-    def __init__(self, name):
-        super().__init__("symbol not in alphabet: %r" % (name,))
-        self.name = name
+class UnknownSymbol(_OneValueError):
+    template = "symbol not in alphabet: %r"
 
 
 class IncompatibleAlphabet(AdbError):
     pass
 
 
-class BoundExceeded(AdbError):
+class BoundExceeded(_OneValueError):
     """A search or enumeration hit the configured state/run cap."""
 
-    def __init__(self, cap):
-        super().__init__("exceeded cap of %d" % cap)
-        self.cap = cap
+    template, field = "exceeded cap of %d", "cap"
 
 
 class WindowTooShort(AdbError):

@@ -464,7 +464,7 @@ def test_cli_import_skips_dataclasses():
     assert result.stdout.strip() == "False"
 
 
-def run_process(*argv, env=None, stdout=subprocess.PIPE):
+def run_process(*argv, env=None, stdout=subprocess.PIPE, preexec_fn=None):
     """``python -m adb.cli`` as its own process, with ``src`` on the path."""
     src = str(EXAMPLES.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -476,6 +476,7 @@ def run_process(*argv, env=None, stdout=subprocess.PIPE):
     result = subprocess.run(
         [sys.executable, "-m", "adb.cli"] + [str(a) for a in argv],
         env=environ, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=preexec_fn,
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -662,6 +663,30 @@ def test_process_exits_2_when_stdout_is_closed(tmp_path, long, env):
     assert code == 2
     assert err.startswith("error: cannot write output: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_process_exits_2_when_fd_1_is_closed(tmp_path):
+    # Python starts with sys.stdout None, so no command runs: not even one
+    # that writes only its --out file
+    out = tmp_path / "star.adb"
+    a1 = EXAMPLES / "a1.adb"
+    for argv in (("member", a1, "--untimed", "a b c"),
+                 ("validate", tmp_path / "missing.adb"),
+                 ("construct", "star", a1, "--out", out)):
+        assert run_process(*argv, preexec_fn=lambda: os.close(1)) == (
+            2, "", "error: cannot write output: standard output is closed\n")
+    assert not out.exists()
+
+
+def test_process_keeps_its_exit_code_when_fd_2_is_closed(tmp_path):
+    # the diagnostics are dropped; stdout holds only results
+    a1 = EXAMPLES / "a1.adb"
+    for argv, code, out in [
+        (("member", a1, "--untimed", "a b c"), 0, "MEMBER\n"),
+        (("member", a1, "--untimed", "a b"), 1, "NOT MEMBER\n"),
+        (("validate", tmp_path / "missing.adb"), 2, ""),
+    ]:
+        assert run_process(*argv, preexec_fn=lambda: os.close(2)) == (code, out, "")
 
 
 # ---------------------------------------------------------------------------
