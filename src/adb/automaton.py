@@ -111,7 +111,7 @@ def validate_adb(
     acc = regular._known(loc_set, start, accepting)
 
     trans = set()
-    for src, lab, dst in transitions:
+    for i, (src, lab, dst) in enumerate(transitions):
         if src not in loc_set:
             raise UnknownLocation(src)
         if dst not in loc_set:
@@ -120,7 +120,7 @@ def validate_adb(
             if lab.symbol not in alpha:
                 raise InvalidSymbol(lab.symbol)
         elif lab is not EPS and lab is not TICK:
-            raise InvalidStep(len(trans))
+            raise InvalidStep(i)
         trans.add((src, lab, dst))
 
     return Adb(frozenset(loc_set), frozenset(alpha), start, acc, frozenset(trans))
@@ -142,6 +142,9 @@ class Run:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete Run.%s" % name)
+
+    def __reduce__(self):  # __setattr__ blocks the default slot restore
+        return Run, (self.start, self.steps)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -15,67 +15,68 @@ class ParseError(AdbError):
         self.line = line
 
 
-class _OneValueError(AdbError):
-    """An error about one value: its message is ``template % (value,)``, and
-    the value is kept in the attribute named by ``field``."""
+class _ValuedError(AdbError):
+    """An error built from the values named in ``fields``: its message and
+    one ``.args`` item are ``template % {field: value}``, and each value is
+    kept as the attribute of its name, from which copy and pickle rebuild it."""
 
-    field = "name"
+    fields = ("name",)
 
-    def __init__(self, value):
-        super().__init__(self.template % (value,))
-        setattr(self, self.field, value)
+    def __init__(self, *values):
+        named = dict(zip(self.fields, values, strict=True))
+        super().__init__(self.template % named)
+        self.__dict__.update(named)
 
-
-class InvalidSymbol(_OneValueError):
-    template = "invalid symbol: %r"
-
-
-class ReservedSymbol(_OneValueError):
-    template = "reserved symbol used as output symbol: %r"
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.fields), self.__dict__
 
 
-class DecreasingTimestamp(_OneValueError):
-    template, field = "timestamp decreases at letter %d", "index"
+class InvalidSymbol(_ValuedError):
+    template = "invalid symbol: %(name)r"
 
 
-class UnknownLocation(_OneValueError):
-    template = "unknown location: %r"
+class ReservedSymbol(_ValuedError):
+    template = "reserved symbol used as output symbol: %(name)r"
 
 
-class DuplicateLocation(_OneValueError):
-    template = "duplicate location: %r"
+class DecreasingTimestamp(_ValuedError):
+    template, fields = "timestamp decreases at letter %(index)d", ("index",)
 
 
-class MissingStart(AdbError):
-    def __init__(self):
-        super().__init__("no start location declared")
+class UnknownLocation(_ValuedError):
+    template = "unknown location: %(name)r"
 
 
-class InvalidStep(_OneValueError):
-    template, field = "run step %d is not a transition of the automaton", "index"
+class DuplicateLocation(_ValuedError):
+    template = "duplicate location: %(name)r"
 
 
-class UnknownSymbol(_OneValueError):
-    template = "symbol not in alphabet: %r"
+class MissingStart(_ValuedError):
+    template, fields = "no start location declared", ()
 
 
-class IncompatibleAlphabet(AdbError):
-    pass
+class InvalidStep(_ValuedError):
+    template = "run step %(index)d is not a transition of the automaton"
+    fields = ("index",)
 
 
-class BoundExceeded(_OneValueError):
+class UnknownSymbol(_ValuedError):
+    template = "symbol not in alphabet: %(name)r"
+
+
+class IncompatibleAlphabet(_ValuedError):
+    template, fields = "spec alphabet is missing %(missing)s", ("missing",)
+
+
+class BoundExceeded(_ValuedError):
     """A search or enumeration hit the configured state/run cap."""
 
-    template, field = "exceeded cap of %d", "cap"
+    template, fields = "exceeded cap of %(cap)d", ("cap",)
 
 
-class WindowTooShort(AdbError):
-    def __init__(self, needed, got):
-        super().__init__(
-            "pumping window spans %d transitions, need at least %d" % (got, needed)
-        )
-        self.needed = needed
-        self.got = got
+class WindowTooShort(_ValuedError):
+    template = "pumping window spans %(got)d transitions, need at least %(needed)d"
+    fields = ("needed", "got")
 
 
 class InternalVerificationFailure(AdbError):

@@ -36,10 +36,9 @@ DEFAULT_STATE_CAP = 10**6
 def check_alphabet(adb: Adb, spec: Nfa) -> None:
     """Raise ``IncompatibleAlphabet`` unless the spec reads every symbol the
     automaton can output."""
-    if adb.alphabet - spec.alphabet:
-        raise IncompatibleAlphabet(
-            "spec alphabet is missing %s" % sorted(adb.alphabet - spec.alphabet)
-        )
+    missing = adb.alphabet - spec.alphabet
+    if missing:
+        raise IncompatibleAlphabet(sorted(missing))
 
 
 def _live(transitions, accepting) -> frozenset:

@@ -65,6 +65,9 @@ class _Marker:
     def __repr__(self):
         return self._name
 
+    def __reduce__(self):  # copy and pickle resolve the module-level singleton
+        return self._name
+
 
 EPS = _Marker("EPS")
 TICK = _Marker("TICK")

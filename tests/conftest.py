@@ -1,3 +1,5 @@
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,15 @@ trans s1 s3 on a
 trans s2 s2 on b
 trans s3 s0 on b
 """)
+
+
+def round_trips(value):
+    """Copies of ``value`` by ``copy.copy``, ``copy.deepcopy`` and a pickle
+    round trip at every protocol."""
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
 
 
 def load_adb(name):

@@ -397,8 +397,10 @@ def test_model_check_lifted_spec_against_itself(abc_blocks, bac_blocks, astar_b)
 
 
 def test_model_check_alphabet_mismatch(a3, abc_blocks):
-    with pytest.raises(IncompatibleAlphabet):
+    with pytest.raises(IncompatibleAlphabet) as info:
         model_check(a3, abc_blocks)
+    assert info.value.missing == ["d"]
+    assert str(info.value) == "spec alphabet is missing ['d']"
 
 
 def test_model_check_survey_protocol(a0, sigma_star):

@@ -65,6 +65,13 @@ def test_validate_adb_invariants():
         validate_adb(["l0"], ["a"], "l0", [], [("l0", "tick", "l0")])
 
 
+def test_validate_names_a_bad_label_by_its_input_position():
+    step = ("l0", Out("a", 0), "l1")
+    with pytest.raises(InvalidStep) as info:
+        validate_adb(["l0", "l1"], ["a"], "l0", [], [step, step, ("l1", "tick", "l0")])
+    assert info.value.index == 2
+
+
 def test_max_delay_defaults_to_zero():
     auto = validate_adb(["l0"], ["a"], "l0", ["l0"], [("l0", EPS, "l0")])
     assert auto.max_delay == 0
