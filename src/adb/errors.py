@@ -16,14 +16,15 @@ class ParseError(AdbError):
 
 
 class _ValuedError(AdbError):
-    """An error built from the values named in ``fields``: its message and
-    one ``.args`` item are ``template % {field: value}``, and each value is
-    kept as the attribute of its name, from which copy and pickle rebuild it."""
+    """An error kept as the values named in ``fields``, one attribute each, from
+    which copy and pickle rebuild it; its message is ``template % {field: value}``."""
 
     fields = ("name",)
 
     def __init__(self, *values):
-        named = dict(zip(self.fields, values, strict=True))
+        if len(values) != len(self.fields):
+            raise TypeError("%s takes %r" % (type(self).__name__, self.fields))
+        named = dict(zip(self.fields, values))
         super().__init__(self.template % named)
         self.__dict__.update(named)
 

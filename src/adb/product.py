@@ -36,8 +36,7 @@ DEFAULT_STATE_CAP = 10**6
 def check_alphabet(adb: Adb, spec: Nfa) -> None:
     """Raise ``IncompatibleAlphabet`` unless the spec reads every symbol the
     automaton can output."""
-    missing = adb.alphabet - spec.alphabet
-    if missing:
+    if missing := adb.alphabet - spec.alphabet:
         raise IncompatibleAlphabet(sorted(missing))
 
 

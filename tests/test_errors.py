@@ -48,11 +48,11 @@ def test_one_value_errors(cls, value, text, field):
 def test_missing_start_message():
     assert str(MissingStart()) == "no start location declared"
     assert MissingStart().args == ("no start location declared",)
+    assert_round_trips(MissingStart())
 
 
 # every other error: an instance, its exact message and the attributes it keeps
 OTHERS = [
-    (MissingStart(), "no start location declared", {}),
     (WindowTooShort(3, 1), "pumping window spans 1 transitions, need at least 3",
      {"needed": 3, "got": 1}),
     (IncompatibleAlphabet(["b", "c"]), "spec alphabet is missing ['b', 'c']",
@@ -86,18 +86,19 @@ def test_other_errors(exc, text, attributes):
 
 def test_tables_cover_every_exported_error():
     covered = {row[0] for row in ONE_VALUE} | {type(row[0]) for row in OTHERS}
+    covered.add(MissingStart)
     assert {getattr(adb, name) for name in adb._EXPORTS["errors"]} <= covered
 
 
 def test_valued_errors_reject_a_wrong_number_of_values():
     for make in (InvalidSymbol, lambda: InvalidSymbol("a", "b"),
                  lambda: MissingStart("x"), lambda: WindowTooShort(3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             make()
 
 
 def test_a_round_trip_keeps_added_notes():
     exc = BoundExceeded(5)
-    exc.add_note("while deciding membership")
+    exc.__notes__ = ["while deciding membership"]  # as add_note does from 3.11 on
     for twin in round_trips(exc):
         assert twin.__notes__ == ["while deciding membership"]

@@ -66,9 +66,14 @@ def test_automata_round_trip_and_decide_alike(name):
     specs = [load_nfa(spec) for spec in NFAS]
     fresh = list(round_trips(auto))  # before any query fills the cached indexes
     verdicts = decide(auto, specs)
-    for twin in fresh + list(round_trips(auto)):
+    filled = list(round_trips(auto))
+    for twin in fresh + filled:
         assert type(twin) is type(auto)
         assert twin == auto
+        assert print_adb(twin) == print_adb(auto)
+    # one copy per path (copy, deepcopy, pickle at the highest protocol), each
+    # taken before and after the caches fill, decides as the original does
+    for twin in fresh[:2] + fresh[-1:] + filled[:2] + filled[-1:]:
         assert decide(twin, specs) == verdicts
 
 
