@@ -14,10 +14,9 @@ from .errors import (
     InternalVerificationFailure,
     InvalidStep,
     UnknownLocation,
-    UnknownSymbol,
 )
 from .product import DEFAULT_STATE_CAP, search_accepting
-from .regular import Nfa, nfa_member, single_word_nfa
+from .regular import Nfa, _check_letters, nfa_member, single_word_nfa
 from .words import (
     EPS,
     TICK,
@@ -71,9 +70,7 @@ def member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     exactly as the word's remaining letters.  Memory follows the word and
     one clock's states; the empty word needs no special case."""
     w = validate_timed_word(w)
-    for sym, _ in w:
-        if sym not in adb.alphabet:
-            raise UnknownSymbol(sym)
+    _check_letters(untime(w), adb.alphabet)
     t_end = w[-1][1] if w else -1
     # each stamp's letters, then None (read by an output once full), and rank
     slots = {

@@ -8,8 +8,9 @@ from collections import deque
 from typing import Iterator, NamedTuple, Set, Tuple
 
 from .automaton import Adb, Run, is_accepting_run, run_output
-from .errors import BoundExceeded, DecreasingTimestamp, UnknownSymbol, WindowTooShort
+from .errors import BoundExceeded, DecreasingTimestamp, WindowTooShort
 from .product import DEFAULT_STATE_CAP
+from .regular import _check_letters
 from .words import EPS, Out, TimedWord, rep, untime, validate_timed_word
 
 
@@ -57,9 +58,7 @@ def brute_member_timed(adb: Adb, w: TimedWord, cap=DEFAULT_STATE_CAP) -> bool:
     cycles.  Accept whenever an accepting location is reached with the whole
     word consumed."""
     w = validate_timed_word(w)
-    for sym, _ in w:
-        if sym not in adb.alphabet:
-            raise UnknownSymbol(sym)
+    _check_letters(untime(w), adb.alphabet)
     t_end = w[-1][1] if w else -1
     index, segments = {}, []  # timestamp -> its position; letters per position
     for sym, t in w:

@@ -176,13 +176,19 @@ class SpecTable:
         return result
 
 
+def _check_letters(word: Iterable, alphabet) -> None:
+    """``UnknownSymbol`` for the first letter of ``word`` not in ``alphabet``."""
+    for letter in word:
+        if letter not in alphabet:
+            raise UnknownSymbol(letter)
+
+
 def nfa_member(nfa: Nfa, word: Sequence) -> bool:
     """Standard subset simulation (epsilon transitions honored)."""
+    _check_letters(word, nfa.alphabet)
     eps, letters = _edges(nfa)
     current = _close(eps, {nfa.start})
     for letter in word:
-        if letter not in nfa.alphabet:
-            raise UnknownSymbol(letter)
         current = _close(
             eps, [t for s in current for t in letters.get((s, letter), ())])
         if not current:
@@ -193,9 +199,7 @@ def nfa_member(nfa: Nfa, word: Sequence) -> bool:
 def single_word_nfa(word: Sequence, alphabet: Iterable) -> Nfa:
     """A chain NFA whose language is exactly ``{word}``."""
     alpha = frozenset(alphabet)
-    for letter in word:
-        if letter not in alpha:
-            raise UnknownSymbol(letter)
+    _check_letters(word, alpha)
     states = frozenset(range(len(word) + 1))
     transitions = frozenset(
         (i, letter, i + 1) for i, letter in enumerate(word)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from adb import (
     EPS,
     BoundExceeded,
+    DecreasingTimestamp,
     IncompatibleAlphabet,
     InternalVerificationFailure,
     TICK,
@@ -38,7 +39,7 @@ from adb import (
     validate_adb,
     validate_nfa,
 )
-from conftest import SYMBOLS, adbs, eps_cycle_nfa, load_adb, nfas
+from conftest import SYMBOLS, adbs, eps_cycle_nfa, load_adb, load_nfa, nfas
 
 # random NFAs, and single-word specs, which tell apart the orders of letters
 specs = st.one_of(
@@ -125,6 +126,28 @@ def test_member_timed_negative(a1):
     for decide in (member_timed, brute_member_timed):
         with pytest.raises(UnknownSymbol):
             decide(a1, (("z", 0),))
+        # stamp order is checked before the letters
+        with pytest.raises(DecreasingTimestamp):
+            decide(a1, (("zz", 1), ("a", 0)))
+
+
+# a foreign letter after a prefix that every search rejects, then a second
+# one: each decision checks the whole word before it searches, in word order
+LATE_FOREIGN_LETTER = [
+    (member_timed, "a1.adb", (("c", 0), ("zz", 1), ("yy", 2))),
+    (brute_member_timed, "a1.adb", (("c", 0), ("zz", 1), ("yy", 2))),
+    (member_untimed, "a1.adb", ("c", "zz", "yy")),
+    (nfa_member, "astar-b.nfa", ("b", "b", "zz", "yy")),
+]
+
+
+@pytest.mark.parametrize("decide, name, word", LATE_FOREIGN_LETTER,
+                         ids=[row[0].__name__ for row in LATE_FOREIGN_LETTER])
+def test_a_foreign_letter_is_reported_before_any_search(decide, name, word):
+    load = load_nfa if name.endswith(".nfa") else load_adb
+    with pytest.raises(UnknownSymbol) as exc:
+        decide(load(name), word)
+    assert exc.value.name == "zz"
 
 
 def test_member_timed_window_follows_the_word():
@@ -186,6 +209,30 @@ def test_member_timed_agrees_with_brute_force(auto, max_transitions, seed):
         words.update(random_mutations(w, auto.alphabet, 4, seed))
     for w in sorted(words):
         assert member_timed(auto, w) == brute_member_timed(auto, w), w
+
+
+def late(w, gap):
+    """``w`` with its last letter ``gap`` clocks later."""
+    return w[:-1] + tuple((sym, t + gap) for sym, t in w[-1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(adbs(), st.integers(0, 5), st.sampled_from((3, 7)), st.integers(5, 40))
+def test_member_timed_agrees_with_brute_force_across_idle_gaps(
+    auto, max_transitions, stretch, gap
+):
+    # the mutations above move a stamp by one; stretched stamps and a late
+    # last letter leave runs of clocks with no stamp within the largest delay
+    members = sorted(
+        language_sample(auto, max_transitions), key=lambda w: (len(w), w)
+    )
+    words = set()
+    for w in members[-6:]:
+        stretched = tuple((sym, t * stretch) for sym, t in w)
+        words.update((stretched, late(w, gap), late(stretched, gap)))
+    for w in sorted(words):
+        assert (member_timed(auto, w, cap=20_000)
+                == brute_member_timed(auto, w, cap=20_000)), w
 
 
 @st.composite

@@ -80,7 +80,7 @@ def test_eps_closure():
     assert eps_closure(nfa, {"q"}) == frozenset({"q"})
 
 
-def test_nfa_member():
+def test_nfa_member(astar_b):
     nfa = ab_star_b()
     assert nfa_member(nfa, "ab")
     assert nfa_member(nfa, "b")
@@ -88,6 +88,9 @@ def test_nfa_member():
     assert not nfa_member(nfa, "")
     with pytest.raises(UnknownSymbol):
         nfa_member(nfa, "az")
+    # no state is left after the second b; the foreign letter still counts
+    with pytest.raises(UnknownSymbol, match="'zz'"):
+        nfa_member(astar_b, ("b", "b", "zz"))
 
 
 def test_eliminate_eps_preserves_language():
