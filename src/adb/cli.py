@@ -118,31 +118,29 @@ def cmd_modelcheck(args) -> int:
     return EXIT_NEGATIVE
 
 
+# Per ``construct`` operation: its function in ``adb.constructions``, named
+# so that it is looked up when called, and its number of input files.
+OPERATIONS = {"union": ("union", 2), "concat": ("concat", 2), "star": ("star", 1),
+              "lift": ("lift_regular", 1), "intersect": ("intersect_regular", 1)}
+
+
 def cmd_construct(args) -> int:
     from . import constructions
     from .textio import parse_adb, parse_nfa, print_adb
 
-    wanted = 2 if args.op in ("union", "concat") else 1
+    name, wanted = OPERATIONS[args.op]
     if len(args.inputs) != wanted:
-        raise CliError(
-            "construct %s needs %d input file(s), got %d"
-            % (args.op, wanted, len(args.inputs))
-        )
+        raise CliError("construct %s needs %d input file(s), got %d"
+                       % (args.op, wanted, len(args.inputs)))
     if args.op == "intersect" and args.spec is None:
         raise CliError("construct intersect needs --spec")
     if args.op != "intersect" and args.spec is not None:
         raise CliError("construct %s takes no --spec" % args.op)
-    if args.op == "lift":
-        result = constructions.lift_regular(_load(args.inputs[0], parse_nfa))
-    elif args.op == "star":
-        result = constructions.star(_load(args.inputs[0], parse_adb))
-    elif args.op == "intersect":
-        result = constructions.intersect_regular(
-            _load(args.inputs[0], parse_adb), _load(args.spec, parse_nfa), _cap()
-        )
-    else:
-        build = constructions.union if args.op == "union" else constructions.concat
-        result = build(*(_load(path, parse_adb) for path in args.inputs))
+    parse = parse_nfa if args.op == "lift" else parse_adb
+    inputs = [_load(path, parse) for path in args.inputs]
+    if args.op == "intersect":
+        inputs += [_load(args.spec, parse_nfa), _cap()]
+    result = getattr(constructions, name)(*inputs)
     text = print_adb(result)
     if args.out is not None:
         import stat
@@ -221,7 +219,7 @@ COMMANDS = {
         ("--spec", {"required": True}),
     ]),
     "construct": (cmd_construct, "run a language construction", [
-        ("op", {"choices": ["union", "concat", "star", "lift", "intersect"]}),
+        ("op", {"choices": list(OPERATIONS)}),
         ("inputs", {"nargs": "+"}),
         ("--spec", {}),
         ("--out", {}),

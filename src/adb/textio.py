@@ -17,6 +17,7 @@ Printing is deterministic and ``parse(print(a))`` is structurally equal to
 
 from __future__ import annotations
 
+import io
 from typing import List, Tuple
 
 from .automaton import Adb, _is_name, check_location, validate_adb
@@ -72,13 +73,13 @@ def _header(rows, index, keyword):
     return tokens[1:]
 
 
-def _parse(rows, header, noun, label, build):
+def _parse(rows, header, label, build):
     alphabet = _header(rows, 0, "alphabet")
     names = _header(rows, 1, header)
     start = _header(rows, 2, "start")
     accepting = _header(rows, 3, "accept")
     if len(start) != 1:
-        raise ParseError("start section needs exactly one %s" % noun, rows[2][0])
+        raise ParseError("start section needs exactly one " + header[:-1], rows[2][0])
 
     transitions = []
     for lineno, tokens in rows[4:]:
@@ -92,16 +93,6 @@ def _parse(rows, header, noun, label, build):
         return build(names, alphabet, start[0], accepting, transitions)
     except AdbError as exc:
         raise ParseError(str(exc)) from None
-
-
-# ``validate_adb``/``validate_nfa`` are looked up when called, so a wrapper
-# later bound to those module names (a tracer, a mock) sees the call.
-def _adb_rows(rows) -> Adb:
-    return _parse(rows, "locations", "location", _adb_label, validate_adb)
-
-
-def _nfa_rows(rows) -> Nfa:
-    return _parse(rows, "states", "state", _nfa_label, validate_nfa)
 
 
 def _print(auto, header, key, text) -> str:
@@ -119,8 +110,11 @@ def _print(auto, header, key, text) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``validate_adb``/``validate_nfa`` here and ``parse_adb``/``parse_nfa`` in
+# ``parse_automaton`` are looked up when called, so a wrapper later bound to
+# those module names (a tracer, a mock) sees the call.
 def parse_adb(text: str) -> Adb:
-    return _adb_rows(_sections(text))
+    return _parse(_sections(text), "locations", _adb_label, validate_adb)
 
 
 def print_adb(adb: Adb) -> str:
@@ -129,7 +123,7 @@ def print_adb(adb: Adb) -> str:
 
 
 def parse_nfa(text: str) -> Nfa:
-    return _nfa_rows(_sections(text))
+    return _parse(_sections(text), "states", _nfa_label, validate_nfa)
 
 
 def print_nfa(nfa: Nfa) -> str:
@@ -146,12 +140,15 @@ def print_nfa(nfa: Nfa) -> str:
 
 
 def parse_automaton(text: str):
-    """Parse either file format, dispatching on the first ``locations`` or
-    ``states`` section header."""
-    rows = _sections(text)
-    for _, tokens in rows:
-        if tokens[0] == "locations":
-            return _adb_rows(rows)
-        if tokens[0] == "states":
-            return _nfa_rows(rows)
+    """Parse either file format with ``parse_adb`` or ``parse_nfa``, chosen
+    by the first line whose first token is ``locations`` or ``states``.  The
+    scan stops at that line; ``StringIO`` breaks lines only at ``\\n``, so
+    each is split again at the other breaks ``str.splitlines`` knows."""
+    for raw in io.StringIO(text):
+        for line in raw.splitlines():
+            first = line.split(None, 1)[:1]
+            if first == ["locations"]:
+                return parse_adb(text)
+            if first == ["states"]:
+                return parse_nfa(text)
     raise ParseError("neither a locations nor a states section found")

@@ -340,9 +340,27 @@ def test_construct_union_and_lift(tmp_path, capsys):
     assert (code, out.strip()) == (0, "MEMBER")
 
 
-def test_construct_wrong_arity(capsys):
-    code, _, err = run(capsys, "construct", "union", EXAMPLES / "a1.adb")
+@pytest.mark.parametrize("op, wanted, given", [
+    ("union", 2, 1), ("concat", 2, 1), ("star", 1, 2), ("lift", 1, 2),
+    ("intersect", 1, 2),
+])
+def test_construct_wrong_arity(capsys, tmp_path, op, wanted, given):
+    # no input file exists: the count is checked before any file is read
+    paths = [tmp_path / ("missing%d" % i) for i in range(given)]
+    code, out, err = run(capsys, "construct", op, *paths)
     assert code == 2
+    assert out == ""
+    assert err == "error: construct %s needs %d input file(s), got %d\n" % (
+        op, wanted, given)
+
+
+def test_construct_choices_are_its_operations():
+    from adb import constructions
+
+    assert cli.COMMANDS["construct"][2][0] == ("op", {"choices": list(cli.OPERATIONS)})
+    assert list(cli.OPERATIONS) == ["union", "concat", "star", "lift", "intersect"]
+    for name, _ in cli.OPERATIONS.values():
+        assert callable(getattr(constructions, name))
 
 
 def test_enumerate_golden(capsys):

@@ -166,6 +166,9 @@ def test_parse_nfa_eps():
     assert ("p", "a", "p") in nfa.transitions
 
 
+NO_HEADER = "neither a locations nor a states section found"
+
+
 def test_parse_automaton_dispatch():
     adb_file = (EXAMPLES / "a1.adb").read_text()
     nfa_file = (EXAMPLES / "astar-b.nfa").read_text()
@@ -173,6 +176,17 @@ def test_parse_automaton_dispatch():
     assert isinstance(parse_automaton(nfa_file), Nfa)
     with pytest.raises(ParseError):
         parse_automaton("alphabet a\nstart x\n")
+    # the header may follow comments and blank lines, and be indented
+    for lead in ("# comment\n", "\n \n\t\n", "# a\n\n# states s0\n#locations\n"):
+        assert parse_automaton(lead + adb_file) == parse_adb(adb_file)
+        assert parse_automaton(lead + nfa_file) == parse_nfa(nfa_file)
+    indented = "".join("  \t" + line for line in adb_file.splitlines(True))
+    assert parse_automaton(indented) == parse_adb(adb_file)
+    # a ``#`` token is a comment, with or without a space after it
+    for text in ("#locations l0\n", "# states s0\n", "alphabet a\nstart x\n"):
+        with pytest.raises(ParseError) as info:
+            parse_automaton(text)
+        assert str(info.value) == NO_HEADER
 
 
 @given(adbs())
@@ -207,3 +221,41 @@ def test_random_text_raises_only_parse_error(prefix, lines):
             parse(text)
         except ParseError:
             pass
+
+
+def reference_dispatch(text):
+    """The parser that the first non-blank, non-``#`` row whose first token
+    is ``locations`` or ``states`` names, as ``str.splitlines`` breaks rows."""
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "locations":
+            return parse_adb
+        if tokens[0] == "states":
+            return parse_nfa
+    return None
+
+
+def outcome(parse, text):
+    if parse is None:
+        return ("error", NO_HEADER, None)
+    try:
+        return ("ok", parse(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+
+
+@given(
+    st.sampled_from(["", "# comment\n", "\n \n", "  \t", "#locations l0\n",
+                     "# states s0\n"]),
+    st.sampled_from(PREFIXES),
+    st.lists(st.tuples(st.sampled_from(["", "  ", "\t"]),
+                       st.lists(st.sampled_from(KEYWORDS), max_size=7),
+                       st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])),
+             max_size=8),
+)
+def test_parse_automaton_agrees_with_reference_dispatch(lead, prefix, lines):
+    text = lead + prefix + "".join(
+        indent + " ".join(line) + end for indent, line, end in lines)
+    assert outcome(parse_automaton, text) == outcome(reference_dispatch(text), text)
